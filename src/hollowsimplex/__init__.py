@@ -44,7 +44,6 @@ from .proscriptive import (
     PrefixReport,
     ProscriptiveDatum,
     candidate_extensions,
-    extension_bound,
     nontrivial_data,
     proscriptive_datum,
 )

@@ -1,18 +1,20 @@
-"""Exact integer and rational primitives.
+"""Exact integer and rational primitives, and the one process pool.
 
-Everything downstream leans on four things: the shifted remainder that lands
-in {1, ..., x} instead of {0, ..., x-1}, gcd content of integer collections,
-half-open rational intervals, and unions of all positive integer dilates of
-such intervals. Endpoints are `fractions.Fraction`; no float ever enters a
-comparison.
+Everything downstream leans on a few kernels: the shifted remainder that
+lands in {1, ..., x} instead of {0, ..., x-1} and its sums, gcd content,
+subset sums, half-open rational intervals, and unions of all positive
+integer dilates of such intervals. Endpoints are `fractions.Fraction`; no
+float ever enters a comparison.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from itertools import combinations
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 Rational = Union[int, Fraction]
 
@@ -29,9 +31,44 @@ def rem_pos(x: int, y: int) -> int:
     return x if r == 0 else r
 
 
+def remainder_sum(entry: int, others: Iterable[int], t: int) -> int:
+    """Sum of rem_pos(entry, t*x) over x in others: the criterion's left side."""
+    total = 0
+    for x in others:
+        r = t * x % entry
+        total += r if r else entry
+    return total
+
+
 def content(values: Iterable[int]) -> int:
     """gcd of the absolute values; 0 for an empty collection."""
     return math.gcd(*values)
+
+
+def subset_sums(values: Sequence[int]) -> Iterator[tuple[tuple[int, ...], int]]:
+    """(positions, sum) of every nonempty subset, by size, then lexicographically."""
+    m = len(values)
+    for size in range(1, m + 1):
+        yield from zip(combinations(range(m), size), map(sum, combinations(values, size)))
+
+
+def parallel_map(fn: Callable, jobs: Sequence, threads: int = 1) -> list:
+    """[fn(job) for job in jobs], in `threads` worker processes when above 1.
+
+    threads must lie in [1, os.cpu_count()] and is checked before any pool is
+    built; results keep the order of jobs, so output never depends on threads.
+    """
+    cpus = os.cpu_count() or 1
+    if not 1 <= threads <= cpus:
+        raise ValueError(f"threads must lie in [1, {cpus}], got {threads}")
+    if threads == 1:
+        return [fn(job) for job in jobs]
+    # Imported here: concurrent.futures pulls in threading and logging, which
+    # every serial run would otherwise pay for at start-up.
+    from concurrent import futures
+
+    with futures.ProcessPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, jobs))
 
 
 @dataclass(frozen=True)

@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
-from .arith import content, rem_pos
+from .arith import parallel_map, remainder_sum, subset_sums
 from .simplex import SimplexSpec, is_hollow
 
 HALF = "half"
@@ -80,7 +79,7 @@ def criterion_inequality(a: Sequence[int], i: int, t: int) -> CriterionCheck:
         raise ValueError(f"entry a({i}) = {ai} admits no multipliers")
     if not 1 <= t <= ai - 1:
         raise ValueError(f"t must lie in [1, {ai - 1}], got {t}")
-    lhs = sum(rem_pos(ai, t * aj) for j, aj in enumerate(a) if j != i)
+    lhs = remainder_sum(ai, a[:i] + a[i + 1:], t)
     return CriterionCheck(lhs=lhs, rhs=t + (n - 3) * ai)
 
 
@@ -112,15 +111,12 @@ def criterion_witness(
     for i, ai in enumerate(a):
         if ai < 2:
             continue
-        others = [aj % ai for j, aj in enumerate(a) if j != i]
-        if use_shortcuts and is_nontrivial(a) and _residue_one_subset(a, i) is not None:
+        if use_shortcuts and is_nontrivial(a) and _subset_scan(a, i, 1)[0]:
             continue
+        others = [aj % ai for j, aj in enumerate(a) if j != i]
         bound = shift * ai
         for t in t_values(ai, trange):
-            lhs = 0
-            for r in others:
-                v = t * r % ai
-                lhs += v if v else ai
+            lhs = remainder_sum(ai, others, t)
             if lhs > t + bound:
                 return CriterionWitness(index=i, entry=ai, t=t, lhs=lhs, rhs=t + bound)
     return None
@@ -177,18 +173,26 @@ def robust_stability_point(a: Sequence[int]) -> int:
     return max(th.C, (sum(a) - 1) * max(a), pair)
 
 
-def _subsets_except(m: int, j: int) -> Iterable[tuple[int, ...]]:
-    idx = [i for i in range(m) if i != j]
-    for size in range(1, len(idx) + 1):
-        yield from combinations(idx, size)
+def _subset_scan(a: Sequence[int], j: int, t: int) -> tuple[bool, bool]:
+    """(hit, zero) over the subsets S of the entries other than a(j).
 
-
-def _residue_one_subset(a: Sequence[int], j: int) -> Optional[tuple[int, ...]]:
+    hit: some S has t*sum(S) mod a(j) in [1, t]. zero: before any hit, some
+    S has it 0 and holds an entry that a(j) does not divide. Requires every
+    entry >= 2.
+    """
+    a = tuple(a)
+    if not is_nontrivial(a):
+        raise ValueError("rule requires every entry >= 2")
     aj = a[j]
-    for subset in _subsets_except(len(a), j):
-        if sum(a[i] for i in subset) % aj == 1:
-            return subset
-    return None
+    others = a[:j] + a[j + 1:]
+    zero = False
+    for positions, total in subset_sums(others):
+        z = t * total % aj
+        if 1 <= z <= t:
+            return True, zero
+        if z == 0 and any(others[i] % aj != 0 for i in positions):
+            zero = True
+    return False, zero
 
 
 def subset_rule_all_t(a: Sequence[int], j: int) -> Optional[str]:
@@ -202,19 +206,11 @@ def subset_rule_all_t(a: Sequence[int], j: int) -> Optional[str]:
 
     Requires every entry >= 2.
     """
-    a = tuple(a)
-    if not is_nontrivial(a):
-        raise ValueError("rule requires every entry >= 2")
-    aj = a[j]
-    found_zero = False
-    for subset in _subsets_except(len(a), j):
-        s = sum(a[i] for i in subset) % aj
-        if s == 1:
-            return RESIDUE_ONE
-        if s == 0 and any(a[i] % aj != 0 for i in subset):
-            found_zero = True
-    if found_zero and all(
-        criterion_inequality(a, j, t).holds for t in t_values(aj, FULL)
+    hit, zero = _subset_scan(a, j, 1)
+    if hit:
+        return RESIDUE_ONE
+    if zero and all(
+        criterion_inequality(a, j, t).holds for t in t_values(a[j], FULL)
     ):
         return RESIDUE_ZERO_NONDIVISOR
     return None
@@ -228,20 +224,11 @@ def subset_rule_single_t(a: Sequence[int], j: int, t: int) -> bool:
     the nondivisor proviso, confirmed by direct evaluation. True guarantees
     the inequality at (j, t).
     """
-    a = tuple(a)
-    if not is_nontrivial(a):
-        raise ValueError("rule requires every entry >= 2")
     aj = a[j]
     if not 1 <= t <= aj - 1:
         raise ValueError(f"t must lie in [1, {aj - 1}], got {t}")
-    found_zero = False
-    for subset in _subsets_except(len(a), j):
-        z = t * sum(a[i] for i in subset) % aj
-        if 1 <= z <= t:
-            return True
-        if z == 0 and any(a[i] % aj != 0 for i in subset):
-            found_zero = True
-    return found_zero and criterion_inequality(a, j, t).holds
+    hit, zero = _subset_scan(a, j, t)
+    return hit or (zero and criterion_inequality(a, j, t).holds)
 
 
 def sample_tuples(
@@ -252,10 +239,13 @@ def sample_tuples(
     seed: int = 0,
 ) -> tuple[tuple[int, ...], ...]:
     """Deterministic pseudo-random nontrivial tuples for sweeps."""
+    lengths = list(lengths)
+    if not lengths:
+        raise ValueError("no tuple lengths to sample from")
     rng = random.Random(seed)
     out = []
     for _ in range(count):
-        length = rng.choice(list(lengths))
+        length = rng.choice(lengths)
         out.append(tuple(sorted(rng.randint(low, high) for _ in range(length))))
     return tuple(out)
 
@@ -308,13 +298,7 @@ def agreement_sweep(
     constancy check of the hollowness status.
     """
     jobs = [(ascending(a), window) for a in tuples]
-    if threads > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_check_agreement, jobs))
-    else:
-        results = [_check_agreement(job) for job in jobs]
+    results = parallel_map(_check_agreement, jobs, threads)
     points = sum(r[0] for r in results)
     mismatches = tuple(m for r in results for m in r[1])
     return AgreementReport(

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from .arith import parallel_map
 from .asymptotic import is_asymptotically_hollow
 from .proscriptive import candidate_extensions
 
@@ -85,13 +86,7 @@ def classify_triples(
         raise ValueError(f"need 2 <= a_max <= x_max, got ({a_max}, {x_max})")
     lo = max(2, min_entry)
     jobs = [(a, x, x_max) for a in range(lo, a_max + 1) for x in range(a, x_max + 1)]
-    if threads > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            batches = list(pool.map(_search_prefix, jobs))
-    else:
-        batches = [_search_prefix(job) for job in jobs]
+    batches = parallel_map(_search_prefix, jobs, threads)
     triples = sorted({t for batch in batches for t in batch})
     return TripleSet.from_triples(triples)
 

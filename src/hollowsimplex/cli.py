@@ -170,30 +170,18 @@ def _cmd_proscribe(args: argparse.Namespace) -> tuple[dict, dict, Optional[bool]
 
 def _cmd_extend(args: argparse.Namespace) -> tuple[dict, dict, Optional[bool]]:
     b = parse_tuple(args.tuple)
-    report = proscriptive.candidate_extensions(b, horizon=args.horizon)
-    payload: dict[str, Any] = {
+    report = proscriptive.candidate_extensions(b)
+    union, candidates = report.union, report.candidates
+    payload = {
         "prefix": list(report.b),
         "s": report.s,
         "unbounded": report.unbounded,
         "data": [_datum_doc(d) for d in report.data],
+        "horizon": report.horizon,
+        "ray_start": None if union is None else _frac(union.ray_start),
+        "candidates": None if candidates is None else list(candidates),
     }
-    if report.unbounded:
-        payload.update({"horizon": None, "ray_start": None, "candidates": None})
-    else:
-        assert report.union is not None and report.candidates is not None
-        payload.update(
-            {
-                "horizon": report.horizon,
-                "ray_start": None
-                if report.union.ray_start is None
-                else _frac(report.union.ray_start),
-                "candidates": list(report.candidates),
-            }
-        )
-    echo = {"tuple": tuple_str(b)}
-    if args.horizon is not None:
-        echo["horizon"] = args.horizon
-    return echo, payload, None
+    return {"tuple": tuple_str(b)}, payload, None
 
 
 def _cmd_classify(args: argparse.Namespace) -> tuple[dict, dict, Optional[bool]]:
@@ -351,8 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("extend", "search extension values keeping a prefix asymptotically hollow")
     p.add_argument("--tuple", required=True)
-    p.add_argument("--horizon", type=int, default=None,
-                   help="override the derived search horizon")
 
     p = add("classify", "search a box for asymptotically hollow triples")
     p.add_argument("--a-max", type=int, required=True)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .arith import HalfOpenInterval, RaySummary, ray_start, rem_pos, scaled_union
+from .arith import HalfOpenInterval, RaySummary, ray_start, remainder_sum, scaled_union
 from .asymptotic import ascending, is_asymptotically_hollow
 
 
@@ -79,8 +79,7 @@ def datum_is_trivial_by_remainders(b: Sequence[int], i: int, m: int) -> bool:
     ai = b[i]
     if ai < 2:
         return True
-    lhs = sum(rem_pos(ai, m * aj) for j, aj in enumerate(b) if j != i)
-    return lhs <= m + (n - 4) * ai
+    return remainder_sum(ai, b[:i] + b[i + 1:], m) <= m + (n - 4) * ai
 
 
 def nontrivial_data(b: Sequence[int]) -> tuple[ProscriptiveDatum, ...]:
@@ -97,20 +96,6 @@ def nontrivial_data(b: Sequence[int]) -> tuple[ProscriptiveDatum, ...]:
             if not d.trivial:
                 out.append(d)
     return tuple(out)
-
-
-def extension_bound(b: Sequence[int], i: int, m: int) -> Fraction:
-    """Estimate a(i)*(1 + s - m)/(2m) above which extensions cannot be hollow.
-
-    Only defined for nontrivial data. This is an estimate: the exact ray
-    start of the datum's dilates, which the search horizon also honors, can
-    exceed it when the dilate overlap is slower than the estimate assumes.
-    """
-    datum = proscriptive_datum(b, i, m)
-    if datum.trivial:
-        raise ValueError(f"datum (i={i}, m={m}) of {b} is trivial")
-    s = sum(_validate_prefix(b)) - 1
-    return Fraction(datum.entry * (1 + s - m), 2 * m)
 
 
 @dataclass(frozen=True)
@@ -134,13 +119,13 @@ class PrefixReport:
     candidates: Optional[tuple[int, ...]]
 
 
-def candidate_extensions(b: Sequence[int], horizon: Optional[int] = None) -> PrefixReport:
+def candidate_extensions(b: Sequence[int]) -> PrefixReport:
     """Every nontrivial y such that (b, y) is asymptotically hollow.
 
-    The default horizon is the larger of the ceiling of the worst
-    extension_bound estimate and the ceiling of the union's exact ray start;
-    the latter alone already guarantees no candidate is missed, since every
-    integer at or beyond the ray is proscribed.
+    The search horizon is max(ceil(least ray start), 1) over the nontrivial
+    data, and nothing else: every integer at or beyond the least ray start
+    lies in a dilate of that datum's interval and is proscribed, so no
+    candidate is missed.
     """
     b = ascending(_validate_prefix(b))
     s = sum(b) - 1
@@ -149,12 +134,7 @@ def candidate_extensions(b: Sequence[int], horizon: Optional[int] = None) -> Pre
         return PrefixReport(
             b=b, s=s, data=(), unbounded=True, horizon=None, union=None, candidates=None
         )
-    if horizon is None:
-        estimate = max(
-            math.ceil(extension_bound(b, d.index, d.m)) for d in data
-        )
-        exact = math.ceil(min(ray_start(d.interval) for d in data))
-        horizon = max(estimate, exact, 1)
+    horizon = max(math.ceil(min(ray_start(d.interval) for d in data)), 1)
     union = scaled_union([d.interval for d in data], horizon)
     candidates = tuple(
         y

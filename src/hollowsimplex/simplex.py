@@ -15,9 +15,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Optional
+from typing import Iterator, Optional
 
-from .arith import content
+from .arith import content, subset_sums
 
 INTERIOR = "interior"
 FACET_BOUNDARY = "facet-boundary"
@@ -105,26 +105,33 @@ class LatticePointReport:
     lambda_sum: Fraction
 
 
-def _candidate(spec: SimplexSpec, k: int) -> Optional[LatticePointReport]:
-    """The unique non-extreme lattice point with height k/d, if one exists.
+def _heights(spec: SimplexSpec, interior: bool) -> Iterator[int]:
+    """Ascending heights k in [1, d-1] carrying a non-extreme lattice point.
 
-    The point exists iff sum(d - r_i over residues r_i != 0) + k <= d, where
-    r_i = k*a(i) mod d; the inequality is evaluated over integers after
-    clearing the denominator d.
+    The point at height k exists iff k + sum(d - r_i over the nonzero
+    residues r_i = k*a(i) mod d) <= d, over integers after clearing d. For
+    interior points a zero residue is charged d and the sum must be < d.
     """
     d = spec.d
-    total = k
-    residues = []
-    for ai in spec.a:
-        r = (k * ai) % d
-        residues.append(r)
-        if r:
-            total += d - r
-            if total > d:
-                return None
-    coords = tuple(
-        (k * ai + ((d - r) % d)) // d for ai, r in zip(spec.a, residues)
-    ) + (k,)
+    a = spec.a
+    zero, bound = (d, d - 1) if interior else (0, d)
+    for k in range(1, d):
+        total = k
+        for ai in a:
+            r = k * ai % d
+            total += d - r if r else zero
+            if total > bound:
+                break
+        else:
+            yield k
+
+
+def _report(spec: SimplexSpec, k: int) -> LatticePointReport:
+    """The unique non-extreme lattice point at a height k that carries one."""
+    d = spec.d
+    residues = [k * ai % d for ai in spec.a]
+    total = k + sum(d - r for r in residues if r)
+    coords = tuple(-(-k * ai // d) for ai in spec.a) + (k,)
     strict_interior = all(residues) and total < d
     return LatticePointReport(
         k=k,
@@ -136,12 +143,7 @@ def _candidate(spec: SimplexSpec, k: int) -> Optional[LatticePointReport]:
 
 def enumerate_non_extreme_points(spec: SimplexSpec) -> tuple[LatticePointReport, ...]:
     """Every lattice point of the simplex other than its vertices, by ascending k."""
-    out = []
-    for k in range(1, spec.d):
-        report = _candidate(spec, k)
-        if report is not None:
-            out.append(report)
-    return tuple(out)
+    return tuple(_report(spec, k) for k in _heights(spec, interior=False))
 
 
 def first_interior_point(spec: SimplexSpec) -> Optional[LatticePointReport]:
@@ -151,23 +153,8 @@ def first_interior_point(spec: SimplexSpec) -> Optional[LatticePointReport]:
     residues k*a(i) mod d are nonzero and the coordinate sum is strictly
     below 1.
     """
-    d = spec.d
-    a = spec.a
-    for k in range(1, d):
-        total = k
-        ok = True
-        for ai in a:
-            r = (k * ai) % d
-            if r == 0:
-                ok = False
-                break
-            total += d - r
-            if total >= d:
-                ok = False
-                break
-        if ok:
-            return _candidate(spec, k)
-    return None
+    k = next(_heights(spec, interior=True), None)
+    return None if k is None else _report(spec, k)
 
 
 def is_hollow(spec: SimplexSpec) -> bool:
@@ -182,19 +169,7 @@ def is_empty(spec: SimplexSpec) -> bool:
     lattice point, including points on edges and faces, shows up at its
     height k.
     """
-    d = spec.d
-    a = spec.a
-    for k in range(1, d):
-        total = k
-        for ai in a:
-            r = (k * ai) % d
-            if r:
-                total += d - r
-                if total > d:
-                    break
-        if total <= d:
-            return False
-    return True
+    return next(_heights(spec, interior=False), None) is None
 
 
 UNIT_ENTRY = "unit-entry"
@@ -213,15 +188,10 @@ def empty_sufficient(spec: SimplexSpec) -> Optional[str]:
     for i, ai in enumerate(spec.a):
         if ai == 1 and content(full[:i] + full[i + 1:]) == 1:
             return UNIT_ENTRY
-    m = len(spec.a)
     union: set[int] = set()
-    for mask in range(1, 1 << m):
-        total = 0
-        for i in range(m):
-            if mask >> i & 1:
-                total += spec.a[i]
+    for positions, total in subset_sums(spec.a):
         if total % spec.d == 0:
-            union.update(i for i in range(m) if mask >> i & 1)
+            union.update(positions)
     values = [spec.a[i] for i in sorted(union)]
     if content(values + [spec.d]) == 1:
         return GCD_UNION
@@ -308,11 +278,9 @@ def width_one(spec: SimplexSpec) -> Optional[tuple[int, ...]]:
     """
     if spec.d <= 1:
         raise ValueError("width-one test requires d > 1")
-    m = len(spec.a)
-    for size in range(1, m + 1):
-        for subset in combinations(range(m), size):
-            if sum(spec.a[i] for i in subset) % spec.d in (0, 1):
-                return subset
+    for positions, total in subset_sums(spec.a):
+        if total % spec.d in (0, 1):
+            return positions
     return None
 
 

@@ -1,4 +1,5 @@
 import json
+import os
 
 from conftest import run_cli
 
@@ -137,6 +138,12 @@ def test_invalid_inputs_exit_two():
     assert run_cli(["hollow", "--alpha", "3,5,7"])[0] == 2
     assert run_cli(["sset", "--x", "5", "--r", "3"])[0] == 2
     assert run_cli(["asym", "--tuple", "7"])[0] == 2
+    assert run_cli(["agree", "--min-len", "5", "--max-len", "3"])[0] == 2
+    # Out-of-range worker counts are refused before any process starts.
+    assert run_cli(["classify", "--a-max", "2", "--x-max", "5", "--threads", "-4"])[0] == 2
+    assert run_cli(["agree", "--threads", "0"])[0] == 2
+    too_many = str((os.cpu_count() or 1) + 1)
+    assert run_cli(["agree", "--threads", too_many])[0] == 2
 
 
 def test_byte_identical_reruns():

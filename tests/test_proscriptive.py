@@ -9,7 +9,6 @@ from hollowsimplex.asymptotic import is_asymptotically_hollow
 from hollowsimplex.proscriptive import (
     candidate_extensions,
     datum_is_trivial_by_remainders,
-    extension_bound,
     nontrivial_data,
     proscriptive_datum,
 )
@@ -95,12 +94,6 @@ def test_nontrivial_data_29_38_66():
     ]
 
 
-def test_extension_bound():
-    assert extension_bound((29, 38, 66), 1, 1) == 2508
-    with pytest.raises(ValueError):
-        extension_bound((29, 38, 66), 2, 1)  # trivial datum
-
-
 def test_candidate_extensions_29_38_66():
     report = candidate_extensions((29, 38, 66))
     assert not report.unbounded
@@ -124,9 +117,9 @@ def test_candidate_extensions_small_pairs():
     assert candidate_extensions((2, 3)).candidates == (2, 4, 5, 8)
 
 
-def test_candidate_extensions_explicit_horizon():
-    report = candidate_extensions((29, 38, 66), horizon=100)
-    assert report.horizon == 100
+def test_candidate_extensions_horizon_is_ray_start():
+    report = candidate_extensions((29, 38, 66))
+    assert report.horizon == 194 == math.ceil(report.union.ray_start)
     assert report.candidates == (2, 3, 11)
 
 

@@ -89,6 +89,10 @@ def test_enumeration_matches_box_oracle():
         got_boundary = sorted(p.coords for p in pts if p.location == FACET_BOUNDARY)
         assert got_interior == sorted(interior_oracle), (a, d)
         assert got_boundary == sorted(boundary_oracle), (a, d)
+        hit = first_interior_point(spec)
+        least = min(interior_oracle, key=lambda z: z[-1], default=None)
+        assert (None if hit is None else hit.coords) == least, (a, d)
+        assert is_empty(spec) == (not interior_oracle and not boundary_oracle), (a, d)
 
 
 def test_hollow_examples():
