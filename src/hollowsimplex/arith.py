@@ -135,28 +135,19 @@ class RaySummary:
 def scaled_union(intervals: Sequence[HalfOpenInterval], horizon: int) -> RaySummary:
     """Union of every positive integer dilate of the given intervals.
 
-    Dilate enumeration is exhaustive up to the horizon (t runs until
-    t*lo > horizon), so `gaps` is correct independently of ray detection;
-    the ray is an exact reported fact, not an input to the gap computation.
+    Write a nonempty interval as [p/q, u/v). T = y*q // p is the largest t with
+    t*lo <= y and t*hi grows with t, so y lies in a positive dilate exactly when
+    y*v < T*u (false when T = 0). `gaps` are the y in [1, horizon] that no
+    interval accepts: at most horizon * len(intervals) integer tests.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be positive, got {horizon}")
     for iv in intervals:
         if iv.lo <= 0:
             raise ValueError(f"interval {iv} must have positive lower endpoint")
-    covered = bytearray(horizon + 1)
-    ray: Optional[Fraction] = None
-    for iv in intervals:
-        if iv.is_empty:
-            continue
-        start = ray_start(iv)
-        ray = start if ray is None else min(ray, start)
-        t = 1
-        while t * iv.lo <= horizon:
-            first = max(1, math.ceil(t * iv.lo))
-            stop = min(horizon + 1, math.ceil(t * iv.hi))
-            for y in range(first, stop):
-                covered[y] = 1
-            t += 1
-    gaps = tuple(y for y in range(1, horizon + 1) if not covered[y])
+    live = [iv for iv in intervals if not iv.is_empty]
+    ray = min(map(ray_start, live), default=None)
+    bounds = [(*iv.lo.as_integer_ratio(), *iv.hi.as_integer_ratio()) for iv in live]
+    gaps = tuple(y for y in range(1, horizon + 1)
+                 if not any(y * v < y * q // p * u for p, q, u, v in bounds))
     return RaySummary(ray_start=ray, gaps=gaps, horizon=horizon)

@@ -240,8 +240,12 @@ def sample_tuples(
 ) -> tuple[tuple[int, ...], ...]:
     """Deterministic pseudo-random nontrivial tuples for sweeps."""
     lengths = list(lengths)
+    if count < 1:
+        raise ValueError(f"count must be positive, got {count}")
     if not lengths:
         raise ValueError("no tuple lengths to sample from")
+    if not 1 <= low <= high:
+        raise ValueError(f"need 1 <= low <= high, got low={low}, high={high}")
     rng = random.Random(seed)
     out = []
     for _ in range(count):
@@ -297,6 +301,8 @@ def agreement_sweep(
     small. Every N in the window is checked, so agreement doubles as a
     constancy check of the hollowness status.
     """
+    if window < 1:
+        raise ValueError(f"window must be positive, got {window}")
     jobs = [(ascending(a), window) for a in tuples]
     results = parallel_map(_check_agreement, jobs, threads)
     points = sum(r[0] for r in results)

@@ -96,12 +96,15 @@ def test_scaled_union_gap_soundness():
         HalfOpenInterval(Fraction(29, 2), Fraction(44, 3)),
         HalfOpenInterval(Fraction(5, 2), Fraction(5, 2)),
     ]
-    summary = scaled_union(intervals, horizon=150)
-    for g in summary.gaps:
-        assert not _in_some_dilate(intervals, g, 150)
-    covered = set(range(1, 151)) - set(summary.gaps)
-    for y in covered:
-        assert _in_some_dilate(intervals, y, 150)
+    # 150 lies below every ray; 300 lies past the least ray start, 580/3
+    for horizon in (150, 300):
+        summary = scaled_union(intervals, horizon=horizon)
+        for g in summary.gaps:
+            assert not _in_some_dilate(intervals, g, horizon)
+        covered = set(range(1, horizon + 1)) - set(summary.gaps)
+        for y in covered:
+            assert _in_some_dilate(intervals, y, horizon)
+        assert all(g < summary.ray_start for g in summary.gaps)
 
 
 def test_scaled_union_ray_membership():

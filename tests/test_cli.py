@@ -139,6 +139,10 @@ def test_invalid_inputs_exit_two():
     assert run_cli(["sset", "--x", "5", "--r", "3"])[0] == 2
     assert run_cli(["asym", "--tuple", "7"])[0] == 2
     assert run_cli(["agree", "--min-len", "5", "--max-len", "3"])[0] == 2
+    # Sweeps that would check nothing, or sample from an empty range, are refused.
+    for argv in (["--window", "0"], ["--window", "-3"], ["--count", "0"],
+                 ["--count", "-1"], ["--low", "5", "--high", "2"]):
+        assert run_cli(["agree", *argv])[0] == 2
     # Out-of-range worker counts are refused before any process starts.
     assert run_cli(["classify", "--a-max", "2", "--x-max", "5", "--threads", "-4"])[0] == 2
     assert run_cli(["agree", "--threads", "0"])[0] == 2

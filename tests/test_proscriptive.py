@@ -131,6 +131,19 @@ def test_candidates_lie_in_gaps_and_pass_criterion():
             assert is_asymptotically_hollow(sorted(b + (y,)))
 
 
+def test_candidates_match_criterion_filter_below_ray():
+    # independent oracle: the full criterion on every y below the ray, no interval
+    # involved; (1000, 1501) has 1000 nontrivial data
+    for b in ((2, 3), (2, 4), (29, 38, 66), (1000, 1501)):
+        report = candidate_extensions(b)
+        expected = tuple(
+            y
+            for y in range(2, math.ceil(report.union.ray_start))
+            if is_asymptotically_hollow(sorted(b + (y,)))
+        )
+        assert report.candidates == expected, b
+
+
 def test_candidates_stay_below_every_interval_ray():
     # the finite-candidates bound, stated against the exact dilate rays
     from hollowsimplex.arith import ray_start
