@@ -50,7 +50,6 @@ from .proscriptive import (
 from .residues import (
     ResidueSet,
     bounded_remainder_set,
-    closed_form_agreement_start,
     closed_form_remainder_set,
 )
 from .simplex import (

@@ -103,7 +103,8 @@ def criterion_witness(
 
     With use_shortcuts, entries whose complements contain a subset summing
     to 1 mod a(i) are skipped: the inequality then provably holds for every
-    t, so no witness is lost.
+    t, so no witness is lost. The whole complement is checked first, before
+    any smaller subset is enumerated (see `_subset_scan`).
     """
     a = ascending(a)
     n = len(a) + 1
@@ -161,7 +162,12 @@ def robust_stability_point(a: Sequence[int]) -> int:
     The classical constant C = max(m_bound, M_bound) fails on an edge case:
     when a failing inequality at (i, t) has slack exactly 1 and a(i) divides
     N*t, the lattice point it predicts degenerates to the boundary, and the
-    simplex of (a; N) can stay hollow slightly past C. Concretely (3, 4, 5)
+    simplex of (a; N) can stay hollow slightly past C. Among the triples with
+    entries in [2, 13] this happens for exactly (2, 2, 2), (2, 2, 5),
+    (2, 3, 3), (2, 3, 7), (2, 3, 11), (2, 4, 7), (2, 7, 13), (3, 3, 4),
+    (3, 4, 5) and (4, 5, 7). None of them is asymptotically hollow, every N
+    past C where the k-scan disagrees with the criterion is a multiple of
+    max(a), and the last such N is this point exactly. For example (3, 4, 5)
     has C = 44 yet is hollow at N = 45, 50, 55 and not hollow at N = 60.
     Replacing max(a(i) - 1) by max a(i) in the M-side repairs the argument:
     the displaced point at k - 1 behaves like a remainder of a(i), never
@@ -176,15 +182,21 @@ def robust_stability_point(a: Sequence[int]) -> int:
 def _subset_scan(a: Sequence[int], j: int, t: int) -> tuple[bool, bool]:
     """(hit, zero) over the subsets S of the entries other than a(j).
 
-    hit: some S has t*sum(S) mod a(j) in [1, t]. zero: before any hit, some
-    S has it 0 and holds an entry that a(j) does not divide. Requires every
+    hit: some S has t*sum(S) mod a(j) in [1, t]. zero: some S has it 0 and
+    holds an entry that a(j) does not divide; it is meaningful only when
+    nothing hits, and then every subset has been enumerated. Requires every
     entry >= 2.
+
+    The whole complement is tried first: it certifies every entry of the
+    doubling family in O(n) additions, where enumeration would reach it last.
     """
     a = tuple(a)
     if not is_nontrivial(a):
         raise ValueError("rule requires every entry >= 2")
     aj = a[j]
     others = a[:j] + a[j + 1:]
+    if 1 <= t * sum(others) % aj <= t:
+        return True, False
     zero = False
     for positions, total in subset_sums(others):
         z = t * total % aj

@@ -2,8 +2,10 @@
 
 One structured document per invocation on stdout, diagnostics on stderr.
 Exit codes: 0 computed, 1 computed with a negative verdict (for scripting),
-2 invalid input. Output is byte-identical across repeated invocations;
-rationals are printed as exact "p/q" strings, never floats.
+2 invalid input or a computation that could not finish (out of memory,
+recursion limit, internal error), with a one-line diagnostic. Output is
+byte-identical across repeated invocations; rationals are printed as exact
+"p/q" strings, never floats.
 """
 
 from __future__ import annotations
@@ -440,8 +442,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     started = time.monotonic()
     try:
         echo, payload, verdict = handler(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, MemoryError, RecursionError, RuntimeError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     doc: dict[str, Any] = {"command": args.command, "input": echo, "payload": payload}
     if args.timing:

@@ -12,7 +12,6 @@ the brute-force construction cross-checks over the whole validity range.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .arith import rem_pos
 
@@ -70,29 +69,11 @@ def closed_form_remainder_set(x: int, r: int) -> ResidueSet:
     Known defect of the formula inside that range: at (x, r) = (9, 2) and
     (14, 3) the brute-force set carries one extra member, the inverse of r
     mod x (5 in both cases). Exhaustive search confirms agreement at every
-    other (x, r) with r <= 8 and x <= 300.
+    other (x, r) with r <= 8 and x <= 300. The hypothesis is sharp for
+    4 <= r <= 8: the formula fails at x = r^2 - 1.
     """
     _validate(x, r)
     if x < r * r:
         raise ValueError(f"closed form requires x >= r^2 = {r * r}, got {x}")
     return ResidueSet(x=x, r=r, members=closed_form_members(x, r), variant=STRICT)
 
-
-def closed_form_agreement_start(r: int, x_limit: int = 300) -> Optional[int]:
-    """Least x0 with brute force matching the formula for all x in [x0, x_limit].
-
-    Diagnostic only: the sharp hypothesis of the closed form is unknown, so
-    this reports where agreement actually begins (likely near r*ceil(r/2))
-    rather than asserting anything.
-    """
-    if r < 2:
-        raise ValueError(f"r must exceed 1, got {r}")
-    start: Optional[int] = None
-    for x in range(2 * r, x_limit + 1):
-        brute = bounded_remainder_set(x, r).members
-        if brute == closed_form_members(x, r):
-            if start is None:
-                start = x
-        else:
-            start = None
-    return start

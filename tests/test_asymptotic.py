@@ -3,11 +3,13 @@ from itertools import combinations_with_replacement, permutations
 
 import pytest
 
-from hollowsimplex.arith import rem_pos
+from hollowsimplex.arith import rem_pos, subset_sums
 from hollowsimplex.asymptotic import (
     FULL,
     HALF,
     RESIDUE_ONE,
+    RESIDUE_ZERO_NONDIVISOR,
+    _subset_scan,
     agreement_sweep,
     ascending,
     criterion_inequality,
@@ -116,6 +118,32 @@ def test_classical_constant_misses_divisible_edge_case():
         assert not is_hollow(SimplexSpec(a, n)), n
 
 
+STABILIZATION_EDGE_CASES = (
+    (2, 2, 2), (2, 2, 5), (2, 3, 3), (2, 3, 7), (2, 3, 11),
+    (2, 4, 7), (2, 7, 13), (3, 3, 4), (3, 4, 5), (4, 5, 7),
+)
+
+
+def test_stabilization_edge_cases_are_pinned():
+    # every triple in [2, 13], every N in (C, robust point + 60]: the k-scan
+    # and the criterion disagree only on these ten triples, only at multiples
+    # of the largest entry, and never past the robust point
+    disagreeing = {}
+    for a in combinations_with_replacement(range(2, 14), 3):
+        expected = is_asymptotically_hollow(a)
+        robust = robust_stability_point(a)
+        start = stability_thresholds(a).C + 1
+        bad = [n for n in range(start, robust + 61)
+               if is_hollow(SimplexSpec(a, n)) != expected]
+        if bad:
+            disagreeing[a] = (expected, bad, robust)
+    assert sorted(disagreeing) == list(STABILIZATION_EDGE_CASES)
+    for a, (expected, bad, robust) in disagreeing.items():
+        assert not expected, a
+        assert all(n % max(a) == 0 for n in bad), a
+        assert bad[-1] == robust, a
+
+
 def test_pairs_never_nontrivially_hollow():
     for a in range(2, 11):
         for x in range(a, 11):
@@ -134,6 +162,44 @@ def test_shortcut_flag_does_not_change_verdict():
         assert is_asymptotically_hollow(a, use_shortcuts=True) == is_asymptotically_hollow(
             a, use_shortcuts=False
         ), a
+
+
+def _enumerated_scan(a, j, t):
+    # (hit, zero) from subset_sums alone, in enumeration order
+    aj = a[j]
+    others = a[:j] + a[j + 1:]
+    zero = False
+    for positions, total in subset_sums(others):
+        z = t * total % aj
+        if 1 <= z <= t:
+            return True, zero
+        if z == 0 and any(others[i] % aj for i in positions):
+            zero = True
+    return False, zero
+
+
+def test_subset_scan_matches_enumeration():
+    for k in (3, 4):
+        for a in combinations_with_replacement(range(2, 11), k):
+            for j, aj in enumerate(a):
+                hit_one, zero_one = _enumerated_scan(a, j, 1)
+                if hit_one:
+                    rule = RESIDUE_ONE
+                elif zero_one and all(
+                    criterion_inequality(a, j, t).holds for t in t_values(aj, FULL)
+                ):
+                    rule = RESIDUE_ZERO_NONDIVISOR
+                else:
+                    rule = None
+                assert subset_rule_all_t(a, j) == rule, (a, j)
+                for t in range(1, aj):
+                    hit, zero = _enumerated_scan(a, j, t)
+                    got_hit, got_zero = _subset_scan(a, j, t)
+                    # zero is read only when nothing hits
+                    assert got_hit == hit, (a, j, t)
+                    assert hit or got_zero == zero, (a, j, t)
+                    single = hit or (zero and criterion_inequality(a, j, t).holds)
+                    assert subset_rule_single_t(a, j, t) == single, (a, j, t)
 
 
 def test_subset_rule_all_t_examples():

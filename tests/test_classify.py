@@ -33,7 +33,7 @@ def test_family_identities():
 
 
 def test_family_is_asymptotically_hollow():
-    for n in range(4, 10):
+    for n in range(4, 61):
         assert is_asymptotically_hollow(doubling_family(n)), n
 
 

@@ -150,6 +150,22 @@ def test_invalid_inputs_exit_two():
     assert run_cli(["agree", "--threads", too_many])[0] == 2
 
 
+def test_failed_computation_exits_two(monkeypatch, capsys):
+    # exit 1 is a computed negative verdict; a computation that dies is exit 2
+    from hollowsimplex import cli
+
+    for exc in (MemoryError(), RecursionError("maximum recursion depth exceeded"),
+                RuntimeError("prefix admits unbounded extensions")):
+        def handler(args, exc=exc):
+            raise exc
+
+        monkeypatch.setitem(cli._HANDLERS, "family", handler)
+        assert cli.main(["family", "--n", "5"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_byte_identical_reruns():
     for argv in (
         ["extend", "--tuple", "29,38,66"],

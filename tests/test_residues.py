@@ -6,7 +6,6 @@ from hollowsimplex.residues import (
     EXEMPT,
     STRICT,
     bounded_remainder_set,
-    closed_form_agreement_start,
     closed_form_members,
     closed_form_remainder_set,
 )
@@ -82,12 +81,18 @@ def test_reflection():
     assert reflection_counterexamples() == []
 
 
-def test_agreement_threshold_report():
-    # diagnostic, not an assertion about the sharp hypothesis: report where
-    # agreement actually starts and sanity-check it stays at or below r^2+1
-    for r in range(2, 9):
-        start = closed_form_agreement_start(r, x_limit=300)
-        assert start is not None
-        print(f"closed form agrees from x = {start} (r = {r}, "
-              f"r*ceil(r/2) = {r * ((r + 1) // 2)}, r^2 = {r * r})")
-        assert start <= r * r + 6
+def test_closed_form_hypothesis_is_sharp():
+    # for 4 <= r <= 8 the formula holds from x = r^2 on and fails just below
+    for r in range(4, 9):
+        for x in range(r * r, r * r + 41):
+            assert bounded_remainder_set(x, r).members == closed_form_members(x, r), (x, r)
+        below = r * r - 1
+        assert bounded_remainder_set(below, r).members != closed_form_members(below, r), r
+    # for r = 2, 3 the pinned defects are the only ones at or past r^2
+    defects = [
+        (x, r)
+        for r in (2, 3)
+        for x in range(r * r, 200)
+        if bounded_remainder_set(x, r).members != closed_form_members(x, r)
+    ]
+    assert defects == [(9, 2), (14, 3)]
