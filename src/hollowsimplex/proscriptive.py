@@ -86,15 +86,17 @@ def nontrivial_data(b: Sequence[int]) -> tuple[ProscriptiveDatum, ...]:
     """All nonempty-interval data, with m capped at a(i) - 1 per entry.
 
     For m >= a(i) triviality is automatic: the remainder sum over the other
-    n - 3 entries is at most (n-3)*a(i) <= m + (n-4)*a(i).
+    n - 3 entries is at most (n-3)*a(i) <= m + (n-4)*a(i). That inequality
+    (s*m <= a(i)*denom rearranged) decides triviality before any interval.
     """
     b = _validate_prefix(b)
+    n = len(b) + 2
     out = []
     for i, ai in enumerate(b):
+        others = b[:i] + b[i + 1:]
         for m in range(1, ai):
-            d = proscriptive_datum(b, i, m)
-            if not d.trivial:
-                out.append(d)
+            if remainder_sum(ai, others, m) > m + (n - 4) * ai:
+                out.append(proscriptive_datum(b, i, m))
     return tuple(out)
 
 

@@ -304,38 +304,28 @@ def width_one_functional(spec: SimplexSpec, subset: tuple[int, ...]) -> tuple[in
 def width_upper_bound(spec: SimplexSpec) -> int:
     """Upper bound on the lattice width from unit-multiple reduced rows.
 
-    For every unit u mod d, reduce the entries u*a(i) mod d into (-d/2, d/2]
-    and augment the row with 1 - u*sum(a) mod d reduced the same way. The
-    bound is min over all collected values of u for u > 0 and 1 + |u| for
-    u < 0. A zero among the reduced entries means an edge carries a lattice
-    point and raises EdgePointError; a zero augmented value carries no
-    functional and is skipped.
+    For every unit u mod d, reduce u*a(i) and the augmented 1 - u*sum(a) mod d
+    into (-d/2, d/2]; a value v costs v if v > 0 and 1 - v if v < 0, and the
+    bound is the least cost. A zero entry, i.e. a(i) = 0 mod d, means an edge
+    carries a lattice point and raises EdgePointError; a zero augmented value
+    is skipped. Over the units, u*x mod d runs through exactly the residues
+    whose gcd with d is gcd(x, d), so entry i costs g = gcd(a(i), d) <= d/2
+    (value g; negatives cost 1 + g or more), and with h = gcd(sum(a), d) the
+    augmented 1 - x costs 1 if h = d (x = 0), h if 1 < h < d (x = h; value c
+    needs h | c - 1, value 1 - c needs h | c) and 2 if h = 1 (x = -1; at
+    d = 2 every entry is odd and costs 1 anyway). Cost O(n log d).
     """
     d = spec.d
     if d == 1:
         raise EdgePointError("d = 1 reduces every entry to 0")
-    s = sum(spec.a)
-
-    def reduce(v: int) -> int:
-        r = v % d
-        return r if 2 * r <= d else r - d
-
-    values: set[int] = set()
-    for u in range(1, d):
-        if math.gcd(u, d) != 1:
-            continue
-        for ai in spec.a:
-            e = reduce(u * ai)
-            if e == 0:
-                raise EdgePointError(
-                    f"entry {ai} reduces to 0 mod {d}; an edge contains a lattice point"
-                )
-            values.add(e)
-        aug = reduce(1 - u * s)
-        if aug != 0:
-            values.add(aug)
-    candidates = [v for v in values if v > 0] + [1 - v for v in values if v < 0]
-    return min(candidates)
+    for ai in spec.a:
+        if ai % d == 0:
+            raise EdgePointError(
+                f"entry {ai} reduces to 0 mod {d}; an edge contains a lattice point"
+            )
+    h = math.gcd(sum(spec.a), d)
+    aug = 1 if h == d else h if h > 1 else 2
+    return min(aug, *(math.gcd(ai, d) for ai in spec.a))
 
 
 @dataclass(frozen=True)

@@ -64,6 +64,9 @@ def test_width_command():
     assert doc["upper_bound"] == 2
     code, doc = _payload(["width", "--alpha", "4,2:4"])
     assert doc["upper_bound"] is None and doc["upper_bound_error"]
+    code, doc = _payload(["width", "--alpha", "2,3:1000000007"])
+    assert code == 0
+    assert doc["upper_bound"] == 1 and doc["width_one_subset"] is None
 
 
 def test_thresholds_command():

@@ -1,6 +1,6 @@
 import math
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -235,6 +235,61 @@ def test_width_upper_bound_zero_entry_error():
         width_upper_bound(SimplexSpec((4, 2), 4))
     with pytest.raises(EdgePointError):
         width_upper_bound(SimplexSpec((1, 1), 1))
+
+
+def _unit_scan_width_bound(spec):
+    """Reference: the bound collected over every unit u mod d, O(phi(d) * n)."""
+    d = spec.d
+    if d == 1:
+        raise EdgePointError("d = 1 reduces every entry to 0")
+    s = sum(spec.a)
+
+    def reduce(v: int) -> int:
+        r = v % d
+        return r if 2 * r <= d else r - d
+
+    values: set[int] = set()
+    for u in range(1, d):
+        if math.gcd(u, d) != 1:
+            continue
+        for ai in spec.a:
+            e = reduce(u * ai)
+            if e == 0:
+                raise EdgePointError(
+                    f"entry {ai} reduces to 0 mod {d}; an edge contains a lattice point"
+                )
+            values.add(e)
+        aug = reduce(1 - u * s)
+        if aug != 0:
+            values.add(aug)
+    candidates = [v for v in values if v > 0] + [1 - v for v in values if v < 0]
+    return min(candidates)
+
+
+def test_width_upper_bound_matches_unit_scan():
+    specs = [
+        SimplexSpec(a, d)
+        for d in range(1, 41)
+        for a in product(range(1, d + 2), repeat=2)
+    ]
+    specs += [
+        SimplexSpec(a, d)
+        for d in range(1, 17)
+        for a in combinations_with_replacement(range(1, d + 2), 3)
+    ]
+    for d in (720, 840, 2520):
+        shared = [2, 3, 4, 6, 8, 12, d // 3, d // 2, 1, 7, d + 6]
+        specs += [SimplexSpec(a, d) for a in product(shared, repeat=2)]
+        specs += [SimplexSpec((g, g, d - 1), d) for g in shared]
+    for spec in specs:
+        try:
+            expected = _unit_scan_width_bound(spec)
+        except EdgePointError as exc:
+            with pytest.raises(EdgePointError) as got:
+                width_upper_bound(spec)
+            assert str(got.value) == str(exc), spec
+        else:
+            assert width_upper_bound(spec) == expected, spec
 
 
 def test_pair_witness_examples():
