@@ -11,7 +11,6 @@ from .arith import (
     HalfOpenInterval,
     RaySummary,
     content,
-    interval,
     ray_start,
     rem_pos,
     scaled_union,
@@ -22,14 +21,11 @@ from .asymptotic import (
     StabilityThresholds,
     agreement_sweep,
     ascending,
-    criterion_inequality,
     criterion_witness,
     is_asymptotically_hollow,
     robust_stability_point,
     sample_tuples,
     stability_thresholds,
-    subset_rule_all_t,
-    subset_rule_single_t,
 )
 from .classify import (
     SPORADIC_TRIPLES,

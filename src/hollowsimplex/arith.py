@@ -14,9 +14,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
-
-Rational = Union[int, Fraction]
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 
 def rem_pos(x: int, y: int) -> int:
@@ -86,21 +84,8 @@ class HalfOpenInterval:
     def is_empty(self) -> bool:
         return self.hi <= self.lo
 
-    def __contains__(self, value: Rational) -> bool:
-        return self.lo <= value < self.hi
-
-    def dilate(self, t: int) -> "HalfOpenInterval":
-        """The scaled interval t*[lo, hi) = [t*lo, t*hi)."""
-        if t < 1:
-            raise ValueError(f"dilation factor must be positive, got {t}")
-        return HalfOpenInterval(self.lo * t, self.hi * t)
-
     def __str__(self) -> str:
         return f"[{self.lo}, {self.hi})"
-
-
-def interval(lo: Rational, hi: Rational) -> HalfOpenInterval:
-    return HalfOpenInterval(Fraction(lo), Fraction(hi))
 
 
 def ray_start(iv: HalfOpenInterval) -> Fraction:

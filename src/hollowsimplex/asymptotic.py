@@ -2,7 +2,7 @@
 
 A tuple a = (a(1), ..., a(n-1)) is asymptotically hollow when the simplices
 of (a; N) are hollow for infinitely many N. That holds exactly when, for
-every entry a(i) >= 2 and every multiplier t in the test range,
+every entry a(i) >= 2 and every multiplier t in [1, a(i) - 1],
 
     sum over j != i of rem_pos(a(i), t*a(j))  <=  t + (n-3)*a(i).
 
@@ -20,12 +20,6 @@ from typing import Optional, Sequence
 from .arith import parallel_map, remainder_sum, subset_sums
 from .simplex import SimplexSpec, is_hollow
 
-HALF = "half"
-FULL = "full"
-
-RESIDUE_ONE = "residue-one"
-RESIDUE_ZERO_NONDIVISOR = "residue-zero-nondivisor"
-
 
 def ascending(a: Sequence[int]) -> tuple[int, ...]:
     """Canonical ascending form; the criterion is permutation invariant."""
@@ -35,52 +29,6 @@ def ascending(a: Sequence[int]) -> tuple[int, ...]:
     if t[0] < 1:
         raise ValueError(f"entries must be positive, got {t}")
     return t
-
-
-def is_nontrivial(a: Sequence[int]) -> bool:
-    return min(a) >= 2
-
-
-def t_values(entry: int, trange: str = HALF) -> range:
-    """Multipliers t tested against one entry.
-
-    full: every t in [1, entry-1]. Beyond that the check is automatic: at
-    t = entry both sides agree exactly, and for larger t the left side is
-    periodic while the right side grows.
-
-    half: t in [1, floor(entry/2)]. Any failure at a larger t < entry forces
-    a failure at 2t - entry, which is strictly smaller and stays positive,
-    so iterating lands in the half range; for even entries the midpoint
-    entry/2 is a genuine fixed point of that reduction and must be kept.
-    """
-    if trange == FULL:
-        return range(1, entry)
-    if trange == HALF:
-        return range(1, entry // 2 + 1)
-    raise ValueError(f"unknown range {trange!r}")
-
-
-@dataclass(frozen=True)
-class CriterionCheck:
-    lhs: int
-    rhs: int
-
-    @property
-    def holds(self) -> bool:
-        return self.lhs <= self.rhs
-
-
-def criterion_inequality(a: Sequence[int], i: int, t: int) -> CriterionCheck:
-    """Both sides of the hollowness inequality at entry index i, multiplier t."""
-    a = tuple(a)
-    n = len(a) + 1
-    ai = a[i]
-    if ai < 2:
-        raise ValueError(f"entry a({i}) = {ai} admits no multipliers")
-    if not 1 <= t <= ai - 1:
-        raise ValueError(f"t must lie in [1, {ai - 1}], got {t}")
-    lhs = remainder_sum(ai, a[:i] + a[i + 1:], t)
-    return CriterionCheck(lhs=lhs, rhs=t + (n - 3) * ai)
 
 
 @dataclass(frozen=True)
@@ -94,41 +42,50 @@ class CriterionWitness:
     rhs: int
 
 
-def criterion_witness(
-    a: Sequence[int],
-    trange: str = HALF,
-    use_shortcuts: bool = True,
-) -> Optional[CriterionWitness]:
+def criterion_witness(a: Sequence[int]) -> Optional[CriterionWitness]:
     """Least failing (index, t) over the ascending form of a, or None.
 
-    With use_shortcuts, entries whose complements contain a subset summing
-    to 1 mod a(i) are skipped: the inequality then provably holds for every
-    t, so no witness is lost. The whole complement is checked first, before
-    any smaller subset is enumerated (see `_subset_scan`).
+    Only t in [1, a(i)//2] is scanned. At t = a(i) both sides agree exactly,
+    and for larger t the left side is periodic while the right side grows.
+    A failure at some t in (a(i)/2, a(i)) forces a failure at 2t - a(i),
+    which is strictly smaller and stays positive, so iterating lands in the
+    half range; for even a(i) the midpoint a(i)/2 is a genuine fixed point
+    of that reduction and is kept.
+
+    An entry is skipped when some subset S of the other entries sums to
+    1 mod a(i). For every t the terms rem_pos(a(i), t*a(j)) over S lie in
+    [1, a(i)] and sum to a number congruent to t, so at most
+    t + (|S|-1)*a(i); the remaining n-2-|S| terms add at most a(i) each, and
+    the inequality holds for every t. Entries equal to 1 count in S too.
     """
     a = ascending(a)
     n = len(a) + 1
     shift = n - 3
     for i, ai in enumerate(a):
-        if ai < 2:
-            continue
-        if use_shortcuts and is_nontrivial(a) and _subset_scan(a, i, 1)[0]:
-            continue
         others = [aj % ai for j, aj in enumerate(a) if j != i]
+        if ai < 2 or _residue_one(others, ai):
+            continue
         bound = shift * ai
-        for t in t_values(ai, trange):
+        for t in range(1, ai // 2 + 1):
             lhs = remainder_sum(ai, others, t)
             if lhs > t + bound:
                 return CriterionWitness(index=i, entry=ai, t=t, lhs=lhs, rhs=t + bound)
     return None
 
 
-def is_asymptotically_hollow(
-    a: Sequence[int],
-    trange: str = HALF,
-    use_shortcuts: bool = True,
-) -> bool:
-    return criterion_witness(a, trange, use_shortcuts) is None
+def is_asymptotically_hollow(a: Sequence[int]) -> bool:
+    return criterion_witness(a) is None
+
+
+def _residue_one(others: Sequence[int], entry: int) -> bool:
+    """Whether some nonempty subset of others sums to 1 mod entry.
+
+    The whole complement is tried first: it certifies every entry of the
+    doubling family in O(n) additions, where enumeration would reach it last.
+    """
+    return sum(others) % entry == 1 or any(
+        total % entry == 1 for _, total in subset_sums(others)
+    )
 
 
 @dataclass(frozen=True)
@@ -177,70 +134,6 @@ def robust_stability_point(a: Sequence[int]) -> int:
     th = stability_thresholds(a)
     pair = max(a[i] * a[j] for i in range(len(a)) for j in range(len(a)) if i != j)
     return max(th.C, (sum(a) - 1) * max(a), pair)
-
-
-def _subset_scan(a: Sequence[int], j: int, t: int) -> tuple[bool, bool]:
-    """(hit, zero) over the subsets S of the entries other than a(j).
-
-    hit: some S has t*sum(S) mod a(j) in [1, t]. zero: some S has it 0 and
-    holds an entry that a(j) does not divide; it is meaningful only when
-    nothing hits, and then every subset has been enumerated. Requires every
-    entry >= 2.
-
-    The whole complement is tried first: it certifies every entry of the
-    doubling family in O(n) additions, where enumeration would reach it last.
-    """
-    a = tuple(a)
-    if not is_nontrivial(a):
-        raise ValueError("rule requires every entry >= 2")
-    aj = a[j]
-    others = a[:j] + a[j + 1:]
-    if 1 <= t * sum(others) % aj <= t:
-        return True, False
-    zero = False
-    for positions, total in subset_sums(others):
-        z = t * total % aj
-        if 1 <= z <= t:
-            return True, zero
-        if z == 0 and any(others[i] % aj != 0 for i in positions):
-            zero = True
-    return False, zero
-
-
-def subset_rule_all_t(a: Sequence[int], j: int) -> Optional[str]:
-    """Subset-sum rule making the inequality at entry j hold for every t.
-
-    residue-one: a subset of the other entries sums to 1 mod a(j); this is
-    unconditionally sound. residue-zero-nondivisor: a subset sums to 0 mod
-    a(j) and contains an entry not divisible by a(j); the bookkeeping behind
-    this rule is fragile for multipliers sharing factors with a(j), so it is
-    reported only after direct evaluation over the full range confirms it.
-
-    Requires every entry >= 2.
-    """
-    hit, zero = _subset_scan(a, j, 1)
-    if hit:
-        return RESIDUE_ONE
-    if zero and all(
-        criterion_inequality(a, j, t).holds for t in t_values(a[j], FULL)
-    ):
-        return RESIDUE_ZERO_NONDIVISOR
-    return None
-
-
-def subset_rule_single_t(a: Sequence[int], j: int, t: int) -> bool:
-    """Subset-sum rule for one multiplier t.
-
-    True when some subset S of the other entries has t * sum(S) congruent to
-    z mod a(j) with 1 <= z <= t (sound outright for t < a(j)), or to 0 with
-    the nondivisor proviso, confirmed by direct evaluation. True guarantees
-    the inequality at (j, t).
-    """
-    aj = a[j]
-    if not 1 <= t <= aj - 1:
-        raise ValueError(f"t must lie in [1, {aj - 1}], got {t}")
-    hit, zero = _subset_scan(a, j, t)
-    return hit or (zero and criterion_inequality(a, j, t).holds)
 
 
 def sample_tuples(

@@ -138,13 +138,13 @@ def _cmd_width(args: argparse.Namespace) -> tuple[dict, dict, Optional[bool]]:
 
 def _cmd_asym(args: argparse.Namespace) -> tuple[dict, dict, Optional[bool]]:
     a = parse_tuple(args.tuple)
-    witness = asymptotic.criterion_witness(a, trange=args.range)
+    witness = asymptotic.criterion_witness(a)
     payload = {
         "tuple": list(asymptotic.ascending(a)),
         "asymptotically_hollow": witness is None,
         "witness": None if witness is None else _witness_doc(witness),
     }
-    return {"tuple": tuple_str(a), "range": args.range}, payload, witness is None
+    return {"tuple": tuple_str(a)}, payload, witness is None
 
 
 def _cmd_thresholds(args: argparse.Namespace) -> tuple[dict, dict, Optional[bool]]:
@@ -328,8 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("asym", "decide asymptotic hollowness of a tuple")
     p.add_argument("--tuple", required=True, help="comma-separated entries, e.g. 6,10,15")
-    p.add_argument("--range", choices=(asymptotic.HALF, asymptotic.FULL),
-                   default=asymptotic.HALF)
 
     p = add("thresholds", "stabilization thresholds of a tuple")
     p.add_argument("--tuple", required=True)

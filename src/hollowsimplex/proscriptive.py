@@ -72,16 +72,6 @@ def proscriptive_datum(b: Sequence[int], i: int, m: int) -> ProscriptiveDatum:
     )
 
 
-def datum_is_trivial_by_remainders(b: Sequence[int], i: int, m: int) -> bool:
-    """Integer-only form of the triviality test, bypassing the interval."""
-    b = _validate_prefix(b)
-    n = len(b) + 2
-    ai = b[i]
-    if ai < 2:
-        return True
-    return remainder_sum(ai, b[:i] + b[i + 1:], m) <= m + (n - 4) * ai
-
-
 def nontrivial_data(b: Sequence[int]) -> tuple[ProscriptiveDatum, ...]:
     """All nonempty-interval data, with m capped at a(i) - 1 per entry.
 

@@ -1,14 +1,18 @@
-"""Shared test helpers, chiefly the independent membership oracle.
+"""Shared test helpers, chiefly the independent reference oracles.
 
-The oracle never looks at the package's k-scan: it walks the integer
-bounding box of the simplex and solves the barycentric coordinates of each
-point exactly with Fractions. Slow but unarguable.
+The membership oracle never looks at the package's k-scan: it walks the
+integer bounding box of the simplex and solves the barycentric coordinates
+of each point exactly with Fractions. Slow but unarguable. The criterion
+reference scans every multiplier with no shortcut.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+
+from hollowsimplex.arith import remainder_sum
+from hollowsimplex.asymptotic import CriterionWitness
 
 
 def box_lattice_points(a, d):
@@ -34,6 +38,35 @@ def box_lattice_points(a, d):
         else:
             boundary.append(z)
     return interior, boundary
+
+
+def reference_witness(a):
+    """Least failing (index, t) of the criterion, t over all of [1, a(i) - 1]
+    for every entry, with no entry skipped; None when every inequality holds."""
+    a = tuple(sorted(a))
+    n = len(a) + 1
+    for i, ai in enumerate(a):
+        for t in range(1, ai):
+            lhs = remainder_sum(ai, a[:i] + a[i + 1:], t)
+            rhs = t + (n - 3) * ai
+            if lhs > rhs:
+                return CriterionWitness(index=i, entry=ai, t=t, lhs=lhs, rhs=rhs)
+    return None
+
+
+def datum_is_trivial_by_remainders(b, i, m):
+    """Integer-only form of the proscriptive triviality test, bypassing the
+    interval: the remainder-sum inequality one dimension down."""
+    n = len(b) + 2
+    ai = b[i]
+    if ai < 2:
+        return True
+    return remainder_sum(ai, b[:i] + b[i + 1:], m) <= m + (n - 4) * ai
+
+
+def in_dilate(y, iv, t):
+    """Whether y lies in the dilate t*[lo, hi) of a half-open interval."""
+    return t * iv.lo <= y < t * iv.hi
 
 
 def run_cli(argv):

@@ -11,41 +11,38 @@ import math
 import random
 from itertools import combinations_with_replacement
 
+from conftest import reference_witness
 from hollowsimplex import arith, asymptotic, proscriptive, residues, simplex
 
 
-def range_equivalence_counterexamples():
-    """half-range verdict vs full-range verdict, every tuple with entries
-    <= 30 and length <= 4. A half-range failure is literally a full-range
-    failure, so only half-passing tuples need the full scan."""
+def witness_reference_counterexamples():
+    """The package's witness against the full-range, shortcut-free reference,
+    field by field, on every tuple with entries in [1, 30] and length 2 to 4
+    (46,345 tuples, entries of 1 included)."""
     bad = []
     for length in (2, 3, 4):
         for a in combinations_with_replacement(range(1, 31), length):
-            half = asymptotic.is_asymptotically_hollow(a, asymptotic.HALF, use_shortcuts=False)
-            if half and not asymptotic.is_asymptotically_hollow(a, asymptotic.FULL, use_shortcuts=False):
-                bad.append(a)
+            got = asymptotic.criterion_witness(a)
+            if got != reference_witness(a):
+                bad.append((a, got))
     return bad
 
 
 def shortcut_soundness_counterexamples():
-    """Fired subset rules must agree with direct evaluation.
-
-    Exhaustive triples with entries in [2, 12]; per entry, the all-t rule
-    and every single-t rule.
-    """
+    """Wherever the residue-one certificate skips an entry, the inequality
+    holds for every t in [1, a(i) - 1]: every triple and quadruple with
+    entries in [1, 12]."""
     bad = []
-    for a in combinations_with_replacement(range(2, 13), 3):
-        for j in range(3):
-            aj = a[j]
-            rule = asymptotic.subset_rule_all_t(a, j)
-            if rule is not None:
-                for t in asymptotic.t_values(aj, asymptotic.FULL):
-                    if not asymptotic.criterion_inequality(a, j, t).holds:
-                        bad.append(("all-t", a, j, t))
-            for t in asymptotic.t_values(aj, asymptotic.FULL):
-                if asymptotic.subset_rule_single_t(a, j, t):
-                    if not asymptotic.criterion_inequality(a, j, t).holds:
-                        bad.append(("single-t", a, j, t))
+    for length in (3, 4):
+        n = length + 1
+        for a in combinations_with_replacement(range(1, 13), length):
+            for i, ai in enumerate(a):
+                others = a[:i] + a[i + 1:]
+                if not asymptotic._residue_one(others, ai):
+                    continue
+                for t in range(1, ai):
+                    if arith.remainder_sum(ai, others, t) > t + (n - 3) * ai:
+                        bad.append((a, i, t))
     return bad
 
 
@@ -57,9 +54,9 @@ def proscription_soundness_counterexamples(t_max: int = 40):
     bad = []
     for b in PROSCRIPTION_PREFIXES:
         for datum in proscriptive.nontrivial_data(b):
+            iv = datum.interval
             for t in range(1, t_max + 1):
-                iv = datum.interval.dilate(t)
-                for y in range(max(1, math.ceil(iv.lo)), math.ceil(iv.hi)):
+                for y in range(max(1, math.ceil(t * iv.lo)), math.ceil(t * iv.hi)):
                     if asymptotic.is_asymptotically_hollow(sorted(b + (y,))):
                         bad.append((b, datum.entry, datum.m, t, y))
     return bad

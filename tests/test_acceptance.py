@@ -136,15 +136,16 @@ def test_acceptance_7_pairs():
 
 
 def test_acceptance_8_property_suites():
-    """Half/full range equivalence, shortcut soundness, proscription
-    soundness, facet formula vs minors oracle, reflection, the neighbor
-    inequality, and the worked width examples: zero counterexamples."""
+    """Witness against the full-range reference, shortcut soundness,
+    proscription soundness, facet formula vs minors oracle, reflection, the
+    neighbor inequality, and the worked width examples: zero
+    counterexamples."""
     started = time.time()
     import properties
 
     failures = {}
     for name, fn in (
-        ("range-equivalence", properties.range_equivalence_counterexamples),
+        ("witness-reference", properties.witness_reference_counterexamples),
         ("shortcut-soundness", properties.shortcut_soundness_counterexamples),
         ("proscription-soundness", properties.proscription_soundness_counterexamples),
         ("facet-volumes", properties.facet_volume_counterexamples),

@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import in_dilate
 from hollowsimplex.arith import (
     HalfOpenInterval,
     content,
-    interval,
     ray_start,
     rem_pos,
     scaled_union,
@@ -44,15 +44,17 @@ def test_content_examples():
 
 
 def test_interval_emptiness():
-    assert interval(2, 2).is_empty
-    assert interval(3, 2).is_empty
-    assert not interval(2, Fraction(61, 30)).is_empty
-    iv = interval(38, 44)
-    assert 38 in iv and 43 in iv and 44 not in iv and Fraction(132, 3) not in iv
+    assert HalfOpenInterval(2, 2).is_empty
+    assert HalfOpenInterval(3, 2).is_empty
+    assert not HalfOpenInterval(2, Fraction(61, 30)).is_empty
+    iv = HalfOpenInterval(38, 44)
+    assert (iv.lo, iv.hi) == (Fraction(38), Fraction(44))
+    assert in_dilate(38, iv, 1) and in_dilate(43, iv, 1) and not in_dilate(44, iv, 1)
+    assert in_dilate(76, iv, 2) and not in_dilate(88, iv, 2)
 
 
 def test_scaled_union_single_interval_gaps():
-    summary = scaled_union([interval(38, 44)], horizon=200)
+    summary = scaled_union([HalfOpenInterval(38, 44)], horizon=200)
     expected = (
         list(range(1, 38))
         + list(range(44, 76))
@@ -66,23 +68,23 @@ def test_scaled_union_single_interval_gaps():
 
 
 def test_scaled_union_empty_interval():
-    summary = scaled_union([interval(2, 2)], horizon=25)
+    summary = scaled_union([HalfOpenInterval(2, 2)], horizon=25)
     assert summary.ray_start is None
     assert summary.gaps == tuple(range(1, 26))
 
 
 def test_scaled_union_validation():
     with pytest.raises(ValueError):
-        scaled_union([interval(0, 3)], horizon=10)
+        scaled_union([HalfOpenInterval(0, 3)], horizon=10)
     with pytest.raises(ValueError):
-        scaled_union([interval(-1, -2)], horizon=10)
+        scaled_union([HalfOpenInterval(-1, -2)], horizon=10)
     with pytest.raises(ValueError):
-        scaled_union([interval(1, 2)], horizon=0)
+        scaled_union([HalfOpenInterval(1, 2)], horizon=0)
 
 
 def _in_some_dilate(intervals, y, t_limit):
     return any(
-        y in iv.dilate(t)
+        in_dilate(y, iv, t)
         for iv in intervals
         if not iv.is_empty
         for t in range(1, t_limit + 1)
@@ -118,8 +120,8 @@ def test_scaled_union_ray_membership():
 
 
 def test_ray_start_formula():
-    assert ray_start(interval(38, 44)) == 266
-    assert ray_start(interval(2, 3)) == 4
-    assert ray_start(interval(3, 4)) == 9
+    assert ray_start(HalfOpenInterval(38, 44)) == 266
+    assert ray_start(HalfOpenInterval(2, 3)) == 4
+    assert ray_start(HalfOpenInterval(3, 4)) == 9
     with pytest.raises(ValueError):
-        ray_start(interval(2, 2))
+        ray_start(HalfOpenInterval(2, 2))

@@ -1,45 +1,26 @@
 import random
 from itertools import combinations_with_replacement, permutations
 
-import pytest
-
-from hollowsimplex.arith import rem_pos, subset_sums
+from hollowsimplex.arith import rem_pos, remainder_sum, subset_sums
 from hollowsimplex.asymptotic import (
-    FULL,
-    HALF,
-    RESIDUE_ONE,
-    RESIDUE_ZERO_NONDIVISOR,
-    _subset_scan,
+    CriterionWitness,
+    _residue_one,
     agreement_sweep,
     ascending,
-    criterion_inequality,
     criterion_witness,
     is_asymptotically_hollow,
     robust_stability_point,
     sample_tuples,
     stability_thresholds,
-    subset_rule_all_t,
-    subset_rule_single_t,
-    t_values,
 )
 from hollowsimplex.simplex import SimplexSpec, is_hollow
 
 
 def test_criterion_inequality_examples():
     # (6,10,15) at the 10-entry, t=3: remainders 8 and 5 against 3 + 10
-    chk = criterion_inequality((6, 10, 15), 1, 3)
-    assert (chk.lhs, chk.rhs, chk.holds) == (13, 13, True)
-    chk = criterion_inequality((2, 3, 7), 2, 2)
-    assert (chk.lhs, chk.rhs, chk.holds) == (10, 9, False)
-
-
-def test_criterion_inequality_validation():
-    with pytest.raises(ValueError):
-        criterion_inequality((2, 3, 7), 2, 0)
-    with pytest.raises(ValueError):
-        criterion_inequality((2, 3, 7), 2, 7)
-    with pytest.raises(ValueError):
-        criterion_inequality((1, 3, 7), 0, 1)  # unit entry admits no multipliers
+    assert (remainder_sum(10, (6, 15), 3), 3 + 10) == (13, 13)
+    # (2,3,7) at the 7-entry, t=2: remainders 4 and 6 against 2 + 7
+    assert (remainder_sum(7, (2, 3), 2), 2 + 7) == (10, 9)
 
 
 def test_t_range_cap_is_tight():
@@ -58,10 +39,10 @@ def test_t_range_cap_is_tight():
 
 
 def test_half_range_includes_even_midpoint():
-    assert list(t_values(10, HALF)) == [1, 2, 3, 4, 5]
-    assert list(t_values(7, HALF)) == [1, 2, 3]
-    assert list(t_values(2, HALF)) == [1]
-    assert list(t_values(10, FULL)) == list(range(1, 10))
+    # the least failure of these tuples sits exactly at t = a(i)/2
+    assert criterion_witness((4, 6, 6)) == CriterionWitness(0, 4, 2, 8, 6)
+    assert criterion_witness((6, 8, 10)) == CriterionWitness(0, 6, 3, 12, 9)
+    assert criterion_witness((8, 10, 14)) == CriterionWitness(0, 8, 4, 16, 12)
 
 
 def test_is_asymptotically_hollow_examples():
@@ -157,72 +138,39 @@ def test_permutation_invariance():
             assert is_asymptotically_hollow(p) == expected
 
 
-def test_shortcut_flag_does_not_change_verdict():
-    for a in combinations_with_replacement(range(2, 11), 3):
-        assert is_asymptotically_hollow(a, use_shortcuts=True) == is_asymptotically_hollow(
-            a, use_shortcuts=False
-        ), a
-
-
-def _enumerated_scan(a, j, t):
-    # (hit, zero) from subset_sums alone, in enumeration order
-    aj = a[j]
-    others = a[:j] + a[j + 1:]
-    zero = False
-    for positions, total in subset_sums(others):
-        z = t * total % aj
-        if 1 <= z <= t:
-            return True, zero
-        if z == 0 and any(others[i] % aj for i in positions):
-            zero = True
-    return False, zero
-
-
 def test_subset_scan_matches_enumeration():
+    # the whole-complement check only reorders the search, never its answer
     for k in (3, 4):
-        for a in combinations_with_replacement(range(2, 11), k):
+        for a in combinations_with_replacement(range(1, 11), k):
             for j, aj in enumerate(a):
-                hit_one, zero_one = _enumerated_scan(a, j, 1)
-                if hit_one:
-                    rule = RESIDUE_ONE
-                elif zero_one and all(
-                    criterion_inequality(a, j, t).holds for t in t_values(aj, FULL)
-                ):
-                    rule = RESIDUE_ZERO_NONDIVISOR
-                else:
-                    rule = None
-                assert subset_rule_all_t(a, j) == rule, (a, j)
-                for t in range(1, aj):
-                    hit, zero = _enumerated_scan(a, j, t)
-                    got_hit, got_zero = _subset_scan(a, j, t)
-                    # zero is read only when nothing hits
-                    assert got_hit == hit, (a, j, t)
-                    assert hit or got_zero == zero, (a, j, t)
-                    single = hit or (zero and criterion_inequality(a, j, t).holds)
-                    assert subset_rule_single_t(a, j, t) == single, (a, j, t)
+                others = a[:j] + a[j + 1:]
+                enumerated = any(total % aj == 1 for _, total in subset_sums(others))
+                assert _residue_one(others, aj) == enumerated, (a, j)
 
 
-def test_subset_rule_all_t_examples():
-    assert subset_rule_all_t((6, 10, 15), 2) == RESIDUE_ONE  # 6 + 10 = 16
-    assert subset_rule_all_t((11, 29, 38, 66), 0) == RESIDUE_ONE  # 29 + 38 = 67
-    assert subset_rule_all_t((2, 3, 7), 2) is None
-    with pytest.raises(ValueError):
-        subset_rule_all_t((1, 3, 7), 1)
-
-
-def test_subset_rule_single_t_examples():
-    # reduced entries mod 29 are 3, 9, 8; the value-8 entry alone gives
-    # 4*8 = 32 = 3 mod 29 with 3 <= 4, and {3, 9} gives t = 5
-    assert subset_rule_single_t((3, 29, 38, 66), 1, 4)
-    assert subset_rule_single_t((3, 29, 38, 66), 1, 5)
-    with pytest.raises(ValueError):
-        subset_rule_single_t((3, 29, 38, 66), 1, 29)
+def test_residue_one_examples():
+    assert _residue_one((6, 10), 15)  # 6 + 10 = 16
+    assert _residue_one((29, 38, 66), 11)  # 29 + 38 = 67
+    assert _residue_one((1, 7), 3)  # an entry 1 certifies on its own
+    assert not _residue_one((2, 3), 7)
+    assert not _residue_one((3, 7), 1)
 
 
 def test_range_equivalence_exhaustive():
-    from properties import range_equivalence_counterexamples
+    # half range with the residue-one shortcut against the full-range,
+    # shortcut-free reference: the whole witness, not just the verdict
+    from properties import witness_reference_counterexamples
 
-    assert range_equivalence_counterexamples() == []
+    assert witness_reference_counterexamples() == []
+
+
+def test_shortcut_flag_does_not_change_verdict():
+    # the verdict with the residue-one shortcut against the full-range,
+    # shortcut-free reference on every triple with entries in [2, 10]
+    from conftest import reference_witness
+
+    for a in combinations_with_replacement(range(2, 11), 3):
+        assert is_asymptotically_hollow(a) == (reference_witness(a) is None), a
 
 
 def test_shortcut_soundness():

@@ -1,6 +1,8 @@
 import json
 import os
 
+import pytest
+
 from conftest import run_cli
 
 from hollowsimplex.cli import parse_tuple, tuple_str
@@ -13,10 +15,12 @@ def _payload(argv):
 
 
 def test_asym_true_exit_zero():
-    code, doc = _payload(["asym", "--tuple", "6,10,15"])
+    code, out = run_cli(["asym", "--tuple", "6,10,15"])
     assert code == 0
-    assert doc["asymptotically_hollow"] is True
-    assert doc["witness"] is None
+    doc = json.loads(out)
+    assert doc["input"] == {"tuple": "6,10,15"}
+    assert doc["payload"]["asymptotically_hollow"] is True
+    assert doc["payload"]["witness"] is None
 
 
 def test_asym_false_exit_one_with_witness():
@@ -141,6 +145,10 @@ def test_invalid_inputs_exit_two():
     assert run_cli(["hollow", "--alpha", "3,5,7"])[0] == 2
     assert run_cli(["sset", "--x", "5", "--r", "3"])[0] == 2
     assert run_cli(["asym", "--tuple", "7"])[0] == 2
+    # asym has one multiplier range and no option to choose another
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["asym", "--tuple", "6,10,15", "--range", "full"])
+    assert exc.value.code == 2
     assert run_cli(["agree", "--min-len", "5", "--max-len", "3"])[0] == 2
     # Sweeps that would check nothing, or sample from an empty range, are refused.
     for argv in (["--window", "0"], ["--window", "-3"], ["--count", "0"],

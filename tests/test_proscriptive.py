@@ -4,11 +4,11 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from hollowsimplex.arith import interval, rem_pos, scaled_union
+from conftest import datum_is_trivial_by_remainders, in_dilate
+from hollowsimplex.arith import HalfOpenInterval, rem_pos, scaled_union
 from hollowsimplex.asymptotic import is_asymptotically_hollow
 from hollowsimplex.proscriptive import (
     candidate_extensions,
-    datum_is_trivial_by_remainders,
     nontrivial_data,
     proscriptive_datum,
 )
@@ -16,7 +16,7 @@ from hollowsimplex.proscriptive import (
 
 def test_datum_38_m1():
     d = proscriptive_datum((29, 38, 66), 1, 1)
-    assert d.interval == interval(38, 44)
+    assert d.interval == HalfOpenInterval(38, 44)
     assert d.interval.hi == Fraction(132, 3)
     assert not d.trivial
     assert d.denom == 3
@@ -31,7 +31,7 @@ def test_datum_66_m1_trivial():
 def test_datum_29_m3():
     d = proscriptive_datum((29, 38, 66), 0, 3)
     assert d.denom == 13
-    assert d.interval == interval(Fraction(29, 3), Fraction(132, 13))
+    assert d.interval == HalfOpenInterval(Fraction(29, 3), Fraction(132, 13))
     assert not d.trivial
 
 
@@ -178,18 +178,16 @@ def test_worked_extension_narrative():
     then cuts to {2, 3, 10, 11, 49}, and the dilates of [29/3, 132/13)
     remove 10 (t = 1) and 49 (t = 5), leaving exactly {2, 3, 11}.
     """
-    step1 = scaled_union([interval(38, 44)], horizon=100)
+    step1 = scaled_union([HalfOpenInterval(38, 44)], horizon=100)
     survivors = [y for y in step1.gaps if y >= 2 and rem_pos(38, y) <= 11]
     assert survivors == list(range(2, 12)) + list(range(44, 50))
 
     step2 = [y for y in survivors if rem_pos(29, 3 * y) <= 10]
     assert step2 == [2, 3, 10, 11, 49]
 
-    third = interval(Fraction(29, 3), Fraction(132, 13))
-    assert 10 in third.dilate(1) and 49 in third.dilate(5)
-    final = [
-        y for y in step2 if not any(y in third.dilate(t) for t in range(1, 6))
-    ]
+    third = HalfOpenInterval(Fraction(29, 3), Fraction(132, 13))
+    assert in_dilate(10, third, 1) and in_dilate(49, third, 5)
+    final = [y for y in step2 if not any(in_dilate(y, third, t) for t in range(1, 6))]
     assert final == [2, 3, 11]
 
     # 44 indeed fails the full criterion, so dropping it early was harmless
