@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import islice
 from typing import Optional, Sequence
 
 from .arith import parallel_map, remainder_sum, subset_sums
@@ -52,11 +53,12 @@ def criterion_witness(a: Sequence[int]) -> Optional[CriterionWitness]:
     half range; for even a(i) the midpoint a(i)/2 is a genuine fixed point
     of that reduction and is kept.
 
-    An entry is skipped when some subset S of the other entries sums to
-    1 mod a(i). For every t the terms rem_pos(a(i), t*a(j)) over S lie in
-    [1, a(i)] and sum to a number congruent to t, so at most
-    t + (|S|-1)*a(i); the remaining n-2-|S| terms add at most a(i) each, and
-    the inequality holds for every t. Entries equal to 1 count in S too.
+    An entry is skipped when `_residue_one` finds a subset S of the other
+    entries summing to 1 mod a(i). For every t the terms rem_pos(a(i),
+    t*a(j)) over S lie in [1, a(i)] and sum to a number congruent to t, so
+    at most t + (|S|-1)*a(i); the remaining n-2-|S| terms add at most a(i)
+    each, and the inequality holds for every t. Entries equal to 1 count in
+    S too.
     """
     a = ascending(a)
     n = len(a) + 1
@@ -78,13 +80,16 @@ def is_asymptotically_hollow(a: Sequence[int]) -> bool:
 
 
 def _residue_one(others: Sequence[int], entry: int) -> bool:
-    """Whether some nonempty subset of others sums to 1 mod entry.
+    """Whether the whole complement, or one of the first entry // 2 subsets
+    enumerated, sums to 1 mod entry.
 
     The whole complement is tried first: it certifies every entry of the
     doubling family in O(n) additions, where enumeration would reach it last.
+    A certificate saves the entry's entry // 2 multipliers, so enumeration
+    stops after that many subsets; False only means no certificate was found.
     """
     return sum(others) % entry == 1 or any(
-        total % entry == 1 for _, total in subset_sums(others)
+        total % entry == 1 for _, total in islice(subset_sums(others), entry // 2)
     )
 
 

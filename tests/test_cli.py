@@ -38,6 +38,26 @@ def test_hollow_command():
     assert doc["witness"]["k"] == 4 and doc["witness"]["coords"] == [1, 1, 4]
 
 
+def test_k_scan_at_huge_d():
+    # d = 10^12: the stretch walk reaches the first interior point without
+    # scanning the 2.5 * 10^11 heights below it
+    code, doc = _payload(["hollow", "--alpha", "2,3:1000000000000"])
+    assert code == 1
+    assert doc["witness"] == {
+        "k": 250000000001,
+        "coords": [1, 1, 250000000001],
+        "location": "interior",
+        "lambda_sum": "249999999999/250000000000",
+    }
+    # past robust_stability_point((3, 5, 7)) = 98 hollowness follows the
+    # criterion, and (3, 5, 7) is asymptotically hollow
+    code, doc = _payload(["hollow", "--alpha", "3,5,7:1000000000039"])
+    assert code == 0 and doc == {"hollow": True, "witness": None}
+    # both entries slow, one stretch, and its half-line is empty
+    code, doc = _payload(["points", "--alpha", "1,1:100000000"])
+    assert code == 0 and doc == {"count": 0, "interior_count": 0, "points": []}
+
+
 def test_empty_command():
     code, doc = _payload(["empty", "--alpha", "3,5,7:31"])
     assert code == 0 and doc["empty"] is True

@@ -1,9 +1,11 @@
 import math
+import random
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import chain, combinations_with_replacement, product
 
 import pytest
 
+from hollowsimplex import simplex
 from hollowsimplex.simplex import (
     FACET_BOUNDARY,
     GCD_UNION,
@@ -11,6 +13,8 @@ from hollowsimplex.simplex import (
     UNIT_ENTRY,
     EdgePointError,
     SimplexSpec,
+    _STRETCH_COST_RATIO,
+    _heights,
     empty_sufficient,
     enumerate_non_extreme_points,
     facet_cotorsion,
@@ -24,7 +28,7 @@ from hollowsimplex.simplex import (
     width_upper_bound,
 )
 
-from conftest import box_lattice_points
+from conftest import box_lattice_points, heights_by_scan
 
 
 def test_spec_validation_and_parse():
@@ -93,6 +97,35 @@ def test_enumeration_matches_box_oracle():
         least = min(interior_oracle, key=lambda z: z[-1], default=None)
         assert (None if hit is None else hit.coords) == least, (a, d)
         assert is_empty(spec) == (not interior_oracle and not boundary_oracle), (a, d)
+
+
+def _stretch_walk_specs():
+    specs = []
+    for d in range(1, 41):
+        pairs = combinations_with_replacement(range(1, d + 3), 2)
+        triples = combinations_with_replacement(range(1, 16), 3)
+        specs += [SimplexSpec(a, d) for a in chain(pairs, triples)]
+    # half the random entries are below d / 16, so some are slow at the
+    # shipped ratio too
+    rng = random.Random(9)
+    for _ in range(100):
+        d = rng.randint(1, 3000)
+        tops = [rng.choice((d // 16 + 1, 2 * d + 5)) for _ in range(rng.randint(2, 6))]
+        a = tuple(rng.randint(1, top) for top in tops)
+        specs.append(SimplexSpec(a, d))
+    return specs
+
+
+@pytest.mark.parametrize("ratio", [1, _STRETCH_COST_RATIO])
+def test_stretch_walk_matches_per_height_scan(monkeypatch, ratio):
+    # at ratio 1 nearly every nonzero entry is slow, which exercises the
+    # stretch arithmetic; at the shipped ratio no entry is slow below d = 32
+    monkeypatch.setattr(simplex, "_STRETCH_COST_RATIO", ratio)
+    for spec in _stretch_walk_specs():
+        for interior in (False, True):
+            assert list(_heights(spec, interior)) == heights_by_scan(spec, interior), (
+                spec, interior,
+            )
 
 
 def test_hollow_examples():
