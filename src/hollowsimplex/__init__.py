@@ -5,66 +5,91 @@ unit vectors, and an integer row; decides asymptotic hollowness of positive
 integer tuples by modular inequalities; computes proscriptive intervals and
 finite extension searches; reproduces the known triple classification and
 the bounded-remainder residue sets.
+
+The names below are exported lazily: each submodule is imported the first
+time one of its names (or the submodule itself) is looked up here, so
+`import hollowsimplex` loads nothing else.
 """
 
-from .arith import (
-    HalfOpenInterval,
-    RaySummary,
-    content,
-    ray_start,
-    rem_pos,
-    scaled_union,
-)
-from .asymptotic import (
-    AgreementReport,
-    CriterionWitness,
-    StabilityThresholds,
-    agreement_sweep,
-    ascending,
-    criterion_witness,
-    is_asymptotically_hollow,
-    robust_stability_point,
-    sample_tuples,
-    stability_thresholds,
-)
-from .classify import (
-    SPORADIC_TRIPLES,
-    TripleSet,
-    classify_triples,
-    doubling_family,
-    family_identities,
-    reference_triples,
-    verify_family,
-)
-from .proscriptive import (
-    PrefixReport,
-    ProscriptiveDatum,
-    candidate_extensions,
-    nontrivial_data,
-    proscriptive_datum,
-)
-from .residues import (
-    ResidueSet,
-    bounded_remainder_set,
-    closed_form_remainder_set,
-)
-from .simplex import (
-    EdgePointError,
-    FacetVolumes,
-    LatticePointReport,
-    PairWitness,
-    SimplexSpec,
-    empty_sufficient,
-    enumerate_non_extreme_points,
-    facet_cotorsion,
-    facet_volumes,
-    first_interior_point,
-    is_empty,
-    is_hollow,
-    pair_interior_witness,
-    width_one,
-    width_one_functional,
-    width_upper_bound,
-)
+_EXPORTS = {
+    "arith": (
+        "HalfOpenInterval",
+        "RaySummary",
+        "content",
+        "ray_start",
+        "rem_pos",
+        "scaled_union",
+    ),
+    "asymptotic": (
+        "AgreementReport",
+        "CriterionWitness",
+        "StabilityThresholds",
+        "agreement_sweep",
+        "ascending",
+        "criterion_witness",
+        "is_asymptotically_hollow",
+        "robust_stability_point",
+        "sample_tuples",
+        "stability_thresholds",
+    ),
+    "classify": (
+        "SPORADIC_TRIPLES",
+        "TripleSet",
+        "classify_triples",
+        "doubling_family",
+        "family_identities",
+        "reference_triples",
+        "verify_family",
+    ),
+    "proscriptive": (
+        "PrefixReport",
+        "ProscriptiveDatum",
+        "candidate_extensions",
+        "nontrivial_data",
+        "proscriptive_datum",
+    ),
+    "residues": (
+        "ResidueSet",
+        "bounded_remainder_set",
+        "closed_form_remainder_set",
+    ),
+    "simplex": (
+        "EdgePointError",
+        "FacetVolumes",
+        "LatticePointReport",
+        "PairWitness",
+        "SimplexSpec",
+        "empty_sufficient",
+        "enumerate_non_extreme_points",
+        "facet_cotorsion",
+        "facet_volumes",
+        "first_interior_point",
+        "is_empty",
+        "is_hollow",
+        "pair_interior_witness",
+        "width_one",
+        "width_one_functional",
+        "width_upper_bound",
+    ),
+}
+_SUBMODULE = {name: module for module, names in _EXPORTS.items() for name in names}
 
+__all__ = list(_SUBMODULE)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    from importlib import import_module
+
+    if name in _SUBMODULE:
+        value = getattr(import_module(f"{__name__}.{_SUBMODULE[name]}"), name)
+    elif name in _EXPORTS:
+        value = import_module(f"{__name__}.{name}")
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_SUBMODULE) | set(_EXPORTS))

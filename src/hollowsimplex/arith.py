@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 
 def rem_pos(x: int, y: int) -> int:
@@ -69,16 +68,9 @@ def parallel_map(fn: Callable, jobs: Sequence, threads: int = 1) -> list:
         return list(pool.map(fn, jobs))
 
 
-@dataclass(frozen=True)
-class HalfOpenInterval:
-    """Rational interval [lo, hi); empty exactly when hi <= lo."""
-
+class _HalfOpenInterval(NamedTuple):
     lo: Fraction
     hi: Fraction
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "lo", Fraction(self.lo))
-        object.__setattr__(self, "hi", Fraction(self.hi))
 
     @property
     def is_empty(self) -> bool:
@@ -86,6 +78,15 @@ class HalfOpenInterval:
 
     def __str__(self) -> str:
         return f"[{self.lo}, {self.hi})"
+
+
+class HalfOpenInterval(_HalfOpenInterval):
+    """Rational interval [lo, hi); empty exactly when hi <= lo."""
+
+    __slots__ = ()
+
+    def __new__(cls, lo, hi) -> "HalfOpenInterval":
+        return super().__new__(cls, Fraction(lo), Fraction(hi))
 
 
 def ray_start(iv: HalfOpenInterval) -> Fraction:
@@ -103,8 +104,7 @@ def ray_start(iv: HalfOpenInterval) -> Fraction:
     return t0 * iv.lo
 
 
-@dataclass(frozen=True)
-class RaySummary:
+class RaySummary(NamedTuple):
     """Integers missed by a union of dilated intervals, plus its infinite ray.
 
     Every integer >= ray_start is covered by the union (ray_start is absent

@@ -14,12 +14,10 @@ the brute-force enumerator.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import islice
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .arith import parallel_map, remainder_sum, subset_sums
-from .simplex import SimplexSpec, is_hollow
 
 
 def ascending(a: Sequence[int]) -> tuple[int, ...]:
@@ -32,8 +30,7 @@ def ascending(a: Sequence[int]) -> tuple[int, ...]:
     return t
 
 
-@dataclass(frozen=True)
-class CriterionWitness:
+class CriterionWitness(NamedTuple):
     """A failing (entry, multiplier) pair certifying non-asymptotic-hollowness."""
 
     index: int
@@ -93,8 +90,7 @@ def _residue_one(others: Sequence[int], entry: int) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class StabilityThresholds:
+class StabilityThresholds(NamedTuple):
     """Bounds on N above which the criterion decides hollowness of (a; N).
 
     m_bound makes the criterion sufficient, M_bound also necessary, and
@@ -164,16 +160,14 @@ def sample_tuples(
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class AgreementMismatch:
+class AgreementMismatch(NamedTuple):
     a: tuple[int, ...]
     big_n: int
     criterion: bool
     brute_force: bool
 
 
-@dataclass(frozen=True)
-class AgreementReport:
+class AgreementReport(NamedTuple):
     tuples_checked: int
     points_checked: int
     mismatches: tuple[AgreementMismatch, ...]
@@ -184,6 +178,10 @@ class AgreementReport:
 
 
 def _check_agreement(args: tuple[tuple[int, ...], int]) -> tuple[int, list[AgreementMismatch]]:
+    # Imported on use: only the sweep needs the k-scan, and the criterion's
+    # callers (asym, extend, classify, family) then never load it.
+    from .simplex import SimplexSpec, is_hollow
+
     a, window = args
     expected = is_asymptotically_hollow(a)
     start = robust_stability_point(a)

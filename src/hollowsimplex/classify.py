@@ -9,12 +9,10 @@ reference_triples holds the known complete answer for cross-checking.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .arith import parallel_map
 from .asymptotic import is_asymptotically_hollow
-from .proscriptive import candidate_extensions
 
 Triple = tuple[int, int, int]
 
@@ -34,8 +32,7 @@ SPORADIC_TRIPLES: tuple[Triple, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class TripleSet:
+class TripleSet(NamedTuple):
     """Ascending, duplicate-free classification output.
 
     family_xs holds every x with (2, x, x+1) present; sporadic holds the
@@ -57,6 +54,9 @@ class TripleSet:
 
 
 def _search_prefix(args: tuple[int, int, int]) -> list[Triple]:
+    # Imported on use: the doubling family never needs the extension search.
+    from .proscriptive import candidate_extensions
+
     a, x, x_max = args
     report = candidate_extensions((a, x))
     if report.unbounded:

@@ -6,6 +6,9 @@ Exit codes: 0 computed, 1 computed with a negative verdict (for scripting),
 recursion limit, internal error), with a one-line diagnostic. Output is
 byte-identical across repeated invocations; rationals are printed as exact
 "p/q" strings, never floats.
+
+Each handler imports the submodules it computes with, so a launch loads
+only what its subcommand runs and building the parser loads none of them.
 """
 
 from __future__ import annotations
@@ -14,17 +17,20 @@ import argparse
 import json
 import sys
 import time
-from fractions import Fraction
-from typing import Any, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Optional, Sequence
 
-from . import asymptotic, classify, proscriptive, residues, simplex
-from .arith import HalfOpenInterval
-from .simplex import SimplexSpec
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .arith import HalfOpenInterval
+    from .asymptotic import CriterionWitness
+    from .proscriptive import ProscriptiveDatum
+    from .simplex import LatticePointReport
 
 
 def _frac(value: Fraction) -> str:
-    f = Fraction(value)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+    num, den = value.as_integer_ratio()
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 def _interval_doc(iv: HalfOpenInterval) -> dict[str, Any]:
@@ -47,7 +53,7 @@ def tuple_str(a: Sequence[int]) -> str:
     return ",".join(str(v) for v in a)
 
 
-def _point_doc(p: simplex.LatticePointReport) -> dict[str, Any]:
+def _point_doc(p: LatticePointReport) -> dict[str, Any]:
     return {
         "k": p.k,
         "coords": list(p.coords),
@@ -56,11 +62,11 @@ def _point_doc(p: simplex.LatticePointReport) -> dict[str, Any]:
     }
 
 
-def _witness_doc(w: asymptotic.CriterionWitness) -> dict[str, Any]:
+def _witness_doc(w: CriterionWitness) -> dict[str, Any]:
     return {"index": w.index, "entry": w.entry, "t": w.t, "lhs": w.lhs, "rhs": w.rhs}
 
 
-def _datum_doc(d: proscriptive.ProscriptiveDatum) -> dict[str, Any]:
+def _datum_doc(d: ProscriptiveDatum) -> dict[str, Any]:
     return {
         "index": d.index,
         "entry": d.entry,
@@ -74,7 +80,9 @@ def _datum_doc(d: proscriptive.ProscriptiveDatum) -> dict[str, Any]:
 
 
 def _cmd_hollow(args: argparse.Namespace) -> tuple[dict, dict, Optional[bool]]:
-    spec = SimplexSpec.parse(args.alpha)
+    from . import simplex
+
+    spec = simplex.SimplexSpec.parse(args.alpha)
     hit = simplex.first_interior_point(spec)
     payload = {
         "hollow": hit is None,
@@ -84,7 +92,9 @@ def _cmd_hollow(args: argparse.Namespace) -> tuple[dict, dict, Optional[bool]]:
 
 
 def _cmd_empty(args: argparse.Namespace) -> tuple[dict, dict, Optional[bool]]:
-    spec = SimplexSpec.parse(args.alpha)
+    from . import simplex
+
+    spec = simplex.SimplexSpec.parse(args.alpha)
     verdict = simplex.is_empty(spec)
     payload = {
         "empty": verdict,
@@ -94,7 +104,9 @@ def _cmd_empty(args: argparse.Namespace) -> tuple[dict, dict, Optional[bool]]:
 
 
 def _cmd_points(args: argparse.Namespace) -> tuple[dict, dict, Optional[bool]]:
-    spec = SimplexSpec.parse(args.alpha)
+    from . import simplex
+
+    spec = simplex.SimplexSpec.parse(args.alpha)
     pts = simplex.enumerate_non_extreme_points(spec)
     payload = {
         "count": len(pts),
@@ -105,7 +117,9 @@ def _cmd_points(args: argparse.Namespace) -> tuple[dict, dict, Optional[bool]]:
 
 
 def _cmd_facets(args: argparse.Namespace) -> tuple[dict, dict, Optional[bool]]:
-    spec = SimplexSpec.parse(args.alpha)
+    from . import simplex
+
+    spec = simplex.SimplexSpec.parse(args.alpha)
     fv = simplex.facet_volumes(spec)
     cots = [simplex.facet_cotorsion(spec, i) for i in range(spec.dimension + 1)]
     payload = {
@@ -118,7 +132,9 @@ def _cmd_facets(args: argparse.Namespace) -> tuple[dict, dict, Optional[bool]]:
 
 
 def _cmd_width(args: argparse.Namespace) -> tuple[dict, dict, Optional[bool]]:
-    spec = SimplexSpec.parse(args.alpha)
+    from . import simplex
+
+    spec = simplex.SimplexSpec.parse(args.alpha)
     subset = simplex.width_one(spec)
     payload: dict[str, Any] = {
         "width_one_subset": None if subset is None else list(subset),
@@ -137,6 +153,8 @@ def _cmd_width(args: argparse.Namespace) -> tuple[dict, dict, Optional[bool]]:
 
 
 def _cmd_asym(args: argparse.Namespace) -> tuple[dict, dict, Optional[bool]]:
+    from . import asymptotic
+
     a = parse_tuple(args.tuple)
     witness = asymptotic.criterion_witness(a)
     payload = {
@@ -148,6 +166,8 @@ def _cmd_asym(args: argparse.Namespace) -> tuple[dict, dict, Optional[bool]]:
 
 
 def _cmd_thresholds(args: argparse.Namespace) -> tuple[dict, dict, Optional[bool]]:
+    from . import asymptotic
+
     a = parse_tuple(args.tuple)
     th = asymptotic.stability_thresholds(a)
     payload = {"m_bound": th.m_bound, "M_bound": th.M_bound, "C": th.C}
@@ -155,6 +175,8 @@ def _cmd_thresholds(args: argparse.Namespace) -> tuple[dict, dict, Optional[bool
 
 
 def _cmd_proscribe(args: argparse.Namespace) -> tuple[dict, dict, Optional[bool]]:
+    from . import proscriptive
+
     b = parse_tuple(args.tuple)
     echo = {"tuple": tuple_str(b)}
     if (args.index is None) != (args.multiplier is None):
@@ -171,6 +193,8 @@ def _cmd_proscribe(args: argparse.Namespace) -> tuple[dict, dict, Optional[bool]
 
 
 def _cmd_extend(args: argparse.Namespace) -> tuple[dict, dict, Optional[bool]]:
+    from . import proscriptive
+
     b = parse_tuple(args.tuple)
     report = proscriptive.candidate_extensions(b)
     union, candidates = report.union, report.candidates
@@ -187,6 +211,8 @@ def _cmd_extend(args: argparse.Namespace) -> tuple[dict, dict, Optional[bool]]:
 
 
 def _cmd_classify(args: argparse.Namespace) -> tuple[dict, dict, Optional[bool]]:
+    from . import classify
+
     result = classify.classify_triples(
         args.a_max, args.x_max, min_entry=args.min_entry, threads=args.threads
     )
@@ -212,6 +238,8 @@ def _cmd_classify(args: argparse.Namespace) -> tuple[dict, dict, Optional[bool]]
 
 
 def _cmd_family(args: argparse.Namespace) -> tuple[dict, dict, Optional[bool]]:
+    from . import classify
+
     a = classify.doubling_family(args.n)
     checks = classify.verify_family(args.n)
     payload = {"tuple": list(a), **checks}
@@ -219,6 +247,8 @@ def _cmd_family(args: argparse.Namespace) -> tuple[dict, dict, Optional[bool]]:
 
 
 def _cmd_sset(args: argparse.Namespace) -> tuple[dict, dict, Optional[bool]]:
+    from . import residues
+
     echo = {"x": args.x, "r": args.r, "variant": args.variant, "method": args.method}
     payload: dict[str, Any] = {}
     verdict: Optional[bool] = None
@@ -241,6 +271,8 @@ def _cmd_sset(args: argparse.Namespace) -> tuple[dict, dict, Optional[bool]]:
 
 
 def _cmd_agree(args: argparse.Namespace) -> tuple[dict, dict, Optional[bool]]:
+    from . import asymptotic
+
     tuples = asymptotic.sample_tuples(
         args.count,
         lengths=tuple(range(args.min_len, args.max_len + 1)),
@@ -354,8 +386,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("sset", "residues with bounded remainders under all multipliers")
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--variant", choices=(residues.STRICT, residues.EXEMPT),
-                   default=residues.STRICT)
+    # residues.STRICT and residues.EXEMPT, spelled out so that building the
+    # parser imports no compute module
+    p.add_argument("--variant", choices=("strict", "exempt"), default="strict")
     p.add_argument("--method", choices=("brute", "closed", "both"), default="brute")
 
     p = add("agree", "criterion versus brute force over sampled tuples")

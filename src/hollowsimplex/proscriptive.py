@@ -12,16 +12,14 @@ full criterion then filters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .arith import HalfOpenInterval, RaySummary, ray_start, remainder_sum, scaled_union
 from .asymptotic import ascending, is_asymptotically_hollow
 
 
-@dataclass(frozen=True)
-class ProscriptiveDatum:
+class ProscriptiveDatum(NamedTuple):
     """Interval data for one (entry index, multiplier) pair of a prefix.
 
     g_row[j] counts the fractions a(j)/k strictly above a(i)/m, i.e.
@@ -90,8 +88,7 @@ def nontrivial_data(b: Sequence[int]) -> tuple[ProscriptiveDatum, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class PrefixReport:
+class PrefixReport(NamedTuple):
     """Outcome of the extension search for one prefix.
 
     When every datum is trivial the prefix itself is asymptotically hollow

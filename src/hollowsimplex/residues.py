@@ -11,7 +11,7 @@ the brute-force construction cross-checks over the whole validity range.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arith import rem_pos
 
@@ -19,8 +19,7 @@ STRICT = "strict"
 EXEMPT = "exempt"
 
 
-@dataclass(frozen=True)
-class ResidueSet:
+class ResidueSet(NamedTuple):
     x: int
     r: int
     members: tuple[int, ...]

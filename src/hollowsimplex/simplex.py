@@ -14,10 +14,9 @@ O(n) per height on each stretch's half-line of candidates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, repeat
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .arith import content, subset_sums
 
@@ -30,21 +29,9 @@ class EdgePointError(ValueError):
     meaning some edge of the simplex carries a non-extreme lattice point."""
 
 
-@dataclass(frozen=True)
-class SimplexSpec:
-    """The defining data (a(1), ..., a(n-1); d) of a lattice simplex."""
-
+class _SimplexSpec(NamedTuple):
     a: tuple[int, ...]
     d: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a", tuple(int(v) for v in self.a))
-        if len(self.a) < 2:
-            raise ValueError("need at least two entries (ambient dimension >= 3)")
-        if any(v < 1 for v in self.a):
-            raise ValueError(f"entries must be positive, got {self.a}")
-        if self.d < 1:
-            raise ValueError(f"last entry must be positive, got {self.d}")
 
     @classmethod
     def parse(cls, text: str) -> "SimplexSpec":
@@ -97,8 +84,23 @@ class SimplexSpec:
         return tuple(out)
 
 
-@dataclass(frozen=True)
-class LatticePointReport:
+class SimplexSpec(_SimplexSpec):
+    """The defining data (a(1), ..., a(n-1); d) of a lattice simplex."""
+
+    __slots__ = ()
+
+    def __new__(cls, a, d) -> "SimplexSpec":
+        a = tuple(int(v) for v in a)
+        if len(a) < 2:
+            raise ValueError("need at least two entries (ambient dimension >= 3)")
+        if any(v < 1 for v in a):
+            raise ValueError(f"entries must be positive, got {a}")
+        if d < 1:
+            raise ValueError(f"last entry must be positive, got {d}")
+        return super().__new__(cls, a, d)
+
+
+class LatticePointReport(NamedTuple):
     """One non-extreme lattice point, tagged interior or facet-boundary."""
 
     k: int
@@ -245,23 +247,25 @@ def empty_sufficient(spec: SimplexSpec) -> Optional[str]:
     have content 1. gcd-union: collect every index appearing in a subset of
     the entries whose sum is divisible by d; the values at those indices,
     together with d, have content 1. A returned reason guarantees is_empty.
+
+    The union's content is folded in as each zero-sum subset turns up, so
+    the scan stops at the first subset that brings it to 1; when none does,
+    it still visits all 2^m - 1 subsets.
     """
     full = spec.row
     for i, ai in enumerate(spec.a):
         if ai == 1 and content(full[:i] + full[i + 1:]) == 1:
             return UNIT_ENTRY
-    union: set[int] = set()
+    g = spec.d
     for positions, total in subset_sums(spec.a):
         if total % spec.d == 0:
-            union.update(positions)
-    values = [spec.a[i] for i in sorted(union)]
-    if content(values + [spec.d]) == 1:
-        return GCD_UNION
+            g = math.gcd(g, *(spec.a[i] for i in positions))
+            if g == 1:
+                return GCD_UNION
     return None
 
 
-@dataclass(frozen=True)
-class FacetVolumes:
+class FacetVolumes(NamedTuple):
     """Normalized volumes of the n+1 facets.
 
     Ordered [opposite v, opposite e_1, ..., opposite e_{n-1}, opposite 0]:
@@ -390,8 +394,7 @@ def width_upper_bound(spec: SimplexSpec) -> int:
     return min(aug, *(math.gcd(ai, d) for ai in spec.a))
 
 
-@dataclass(frozen=True)
-class PairWitness:
+class PairWitness(NamedTuple):
     """Interior point produced by the three-dimensional construction."""
 
     point: tuple[int, int, int]

@@ -3,14 +3,16 @@
 The membership oracle never looks at the package's k-scan: it walks the
 integer bounding box of the simplex and solves the barycentric coordinates
 of each point exactly with Fractions. Slow but unarguable. The per-height
-k-scan tests every height against every entry, and the criterion reference
-scans every multiplier with no shortcut.
+k-scan tests every height against every entry, the criterion reference
+scans every multiplier with no shortcut, and the emptiness shortcut
+reference collects every zero-sum subset before taking a gcd.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 from hollowsimplex.arith import remainder_sum
 from hollowsimplex.asymptotic import CriterionWitness
@@ -70,6 +72,24 @@ def reference_witness(a):
             rhs = t + (n - 3) * ai
             if lhs > rhs:
                 return CriterionWitness(index=i, entry=ai, t=t, lhs=lhs, rhs=rhs)
+    return None
+
+
+def empty_sufficient_by_full_union(spec):
+    """The emptiness shortcuts with the gcd-union rule in its first form:
+    collect the whole union of zero-sum subsets, then take its content."""
+    full = spec.row
+    for i, ai in enumerate(spec.a):
+        if ai == 1 and math.gcd(*full[:i], *full[i + 1:]) == 1:
+            return "unit-entry"
+    m = len(spec.a)
+    union = set()
+    for size in range(1, m + 1):
+        for positions in combinations(range(m), size):
+            if sum(spec.a[i] for i in positions) % spec.d == 0:
+                union.update(positions)
+    if math.gcd(*(spec.a[i] for i in union), spec.d) == 1:
+        return "gcd-union"
     return None
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 from itertools import chain, combinations_with_replacement, product
 
@@ -28,7 +29,7 @@ from hollowsimplex.simplex import (
     width_upper_bound,
 )
 
-from conftest import box_lattice_points, heights_by_scan
+from conftest import box_lattice_points, empty_sufficient_by_full_union, heights_by_scan
 
 
 def test_spec_validation_and_parse():
@@ -161,6 +162,28 @@ def test_empty_sufficient_gcd_union_fires():
     spec = SimplexSpec((3, 5, 6), 8)
     assert empty_sufficient(spec) == GCD_UNION
     assert is_empty(spec)
+    # no single zero-sum subset has content 1 with d = 18: {2, 4, 12} leaves
+    # 2 and {3, 3, 12} leaves 3, only their union reaches 1
+    spec = SimplexSpec((2, 3, 3, 4, 12), 18)
+    assert empty_sufficient(spec) == GCD_UNION
+    assert is_empty(spec)
+
+
+def test_empty_sufficient_matches_full_union_rule():
+    for m in (2, 3, 4):
+        for a in combinations_with_replacement(range(1, 13), m):
+            for d in range(1, 16):
+                spec = SimplexSpec(a, d)
+                assert empty_sufficient(spec) == empty_sufficient_by_full_union(spec), spec
+
+
+def test_empty_sufficient_stops_at_content_one():
+    # 24 threes mod 7: the first zero-sum subset (seven threes) already has
+    # content 1 with d, found after 190,050 of the 2^24 - 1 subsets
+    spec = SimplexSpec((3,) * 24, 7)
+    started = time.perf_counter()
+    assert empty_sufficient(spec) == GCD_UNION
+    assert time.perf_counter() - started < 2
 
 
 def test_empty_sufficient_never_contradicts_oracle():
