@@ -13,7 +13,7 @@ import math
 import os
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, NoReturn, Optional, Sequence
 
 
 def rem_pos(x: int, y: int) -> int:
@@ -50,22 +50,86 @@ def subset_sums(values: Sequence[int]) -> Iterator[tuple[tuple[int, ...], int]]:
 
 
 def parallel_map(fn: Callable, jobs: Sequence, threads: int = 1) -> list:
-    """[fn(job) for job in jobs], in `threads` worker processes when above 1.
+    """[fn(job) for job in jobs], in forked worker processes when threads > 1.
 
-    threads must lie in [1, os.cpu_count()] and is checked before any pool is
-    built; results keep the order of jobs, so output never depends on threads.
+    threads must lie in [1, os.cpu_count()] and is checked before any worker
+    starts. Above 1, k = min(threads, len(jobs)) workers are forked and worker
+    w computes jobs[w::k]; where os.fork does not exist the jobs run serially
+    in this process. Results keep the order of jobs, so output never depends
+    on threads. A worker's exception is raised here with its type and
+    message, and a worker that ends without a result (killed, out of memory)
+    raises RuntimeError. Every worker is reaped before this returns.
     """
     cpus = os.cpu_count() or 1
     if not 1 <= threads <= cpus:
         raise ValueError(f"threads must lie in [1, {cpus}], got {threads}")
-    if threads == 1:
+    if threads == 1 or not hasattr(os, "fork"):
         return [fn(job) for job in jobs]
-    # Imported here: concurrent.futures pulls in threading and logging, which
-    # every serial run would otherwise pay for at start-up.
-    from concurrent import futures
+    # Imported here so that serial runs never pay for it.
+    import pickle
 
-    with futures.ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, jobs))
+    k = min(threads, len(jobs))
+    pids: list[int] = []
+    reads: list[int] = []
+    try:
+        for w in range(k):
+            r, wr = os.pipe()
+            reads.append(r)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _worker(fn, jobs[w::k], wr)
+            finally:
+                os.close(wr)
+            pids.append(pid)
+        # Read every pipe to EOF before reaping: a worker blocks on a full pipe.
+        blobs = [_read_to_eof(r) for r in reads]
+    except BaseException:
+        import signal
+
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for r in reads:
+            os.close(r)
+        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+    results: list = [None] * len(jobs)
+    for w, (blob, status) in enumerate(zip(blobs, statuses)):
+        if not blob:
+            code = os.waitstatus_to_exitcode(status)
+            raise RuntimeError(f"worker process ended without a result (exit code {code})")
+        ok, value = pickle.loads(blob)
+        if not ok:
+            raise value
+        results[w::k] = value
+    return results
+
+
+def _worker(fn: Callable, jobs: Sequence, fd: int) -> NoReturn:
+    """Forked worker: write one pickled (ok, results or exception) to fd, exit.
+
+    os._exit skips the parent's atexit handlers and the flush of the stdio
+    buffers the fork copied, which belong to the parent.
+    """
+    import pickle
+
+    try:
+        try:
+            data = pickle.dumps((True, [fn(job) for job in jobs]))
+        except BaseException as exc:  # not swallowed: parallel_map raises it
+            data = pickle.dumps((False, exc))
+        with open(fd, "wb") as out:
+            out.write(data)
+    finally:
+        os._exit(0)
+
+
+def _read_to_eof(fd: int) -> bytes:
+    chunks = []
+    while chunk := os.read(fd, 1 << 16):
+        chunks.append(chunk)
+    return b"".join(chunks)
 
 
 class _HalfOpenInterval(NamedTuple):

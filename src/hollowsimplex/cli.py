@@ -486,7 +486,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     else:
         sys.stdout.write(_render_table(doc))
     return 0 if verdict in (None, True) else 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

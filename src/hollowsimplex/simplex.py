@@ -223,7 +223,7 @@ def first_interior_point(spec: SimplexSpec) -> Optional[LatticePointReport]:
 
 def is_hollow(spec: SimplexSpec) -> bool:
     """True when the simplex has no interior lattice point."""
-    return first_interior_point(spec) is None
+    return next(_heights(spec, interior=True), None) is None
 
 
 def is_empty(spec: SimplexSpec) -> bool:

@@ -11,8 +11,11 @@ reference collects every zero-sum subset before taking a gcd.
 from __future__ import annotations
 
 import math
+import os
 from fractions import Fraction
 from itertools import combinations, product
+
+import pytest
 
 from hollowsimplex.arith import remainder_sum
 from hollowsimplex.asymptotic import CriterionWitness
@@ -123,3 +126,11 @@ def run_cli(argv):
     finally:
         sys.stdout = old
     return code, buf.getvalue()
+
+
+@pytest.fixture
+def no_child_left():
+    """Fails the test if it leaves a child process unreaped."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

@@ -1,12 +1,18 @@
 import math
+import os
+import signal
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
 from conftest import in_dilate
+import hollowsimplex
 from hollowsimplex.arith import (
     HalfOpenInterval,
     content,
+    parallel_map,
     ray_start,
     rem_pos,
     scaled_union,
@@ -125,3 +131,58 @@ def test_ray_start_formula():
     assert ray_start(HalfOpenInterval(3, 4)) == 9
     with pytest.raises(ValueError):
         ray_start(HalfOpenInterval(2, 2))
+
+
+THREADS = 2
+
+
+def _square_with_pid(job):
+    return job * job, os.getpid()
+
+
+@pytest.mark.parametrize("n", [0, 1, 5, 8])
+def test_parallel_map_keeps_job_order(n, no_child_left):
+    # 5 jobs over 2 workers leave a remainder; 1 job is fewer than the workers
+    out = parallel_map(_square_with_pid, list(range(n)), threads=THREADS)
+    assert [sq for sq, _ in out] == [j * j for j in range(n)]
+    pids = {pid for _, pid in out}
+    assert os.getpid() not in pids and len(pids) == min(n, THREADS)
+
+
+def _run_job(job):
+    kind, value = job
+    if kind == "value":
+        raise ValueError(f"bad job {value}")
+    if kind == "runtime":
+        raise RuntimeError(f"job {value} could not finish")
+    if kind == "kill":
+        os.kill(os.getpid(), signal.SIGKILL)
+    return value
+
+
+@pytest.mark.parametrize("kind, error, message", [
+    ("value", ValueError, "^bad job 3$"),
+    ("runtime", RuntimeError, "^job 3 could not finish$"),
+    ("kill", RuntimeError, "^worker process ended without a result"),
+])
+def test_parallel_map_raises_worker_failures(kind, error, message, no_child_left):
+    jobs = [("ok", 0), ("ok", 1), ("ok", 2), (kind, 3), ("ok", 4)]
+    with pytest.raises(error, match=message):
+        parallel_map(_run_job, jobs, threads=THREADS)
+
+
+def test_parallel_map_workers_leave_parent_exit_alone():
+    # Workers are forked with the parent's unflushed stdout buffer and its
+    # atexit handlers; neither may run twice.
+    src = os.path.dirname(os.path.dirname(hollowsimplex.__file__))
+    code = (
+        "import atexit, sys\n"
+        "from hollowsimplex.arith import parallel_map\n"
+        "atexit.register(print, 'atexit')\n"
+        "sys.stdout.write('pending ')\n"
+        f"print(parallel_map(abs, [-1, -2, -3], threads={THREADS}))\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**env, "PYTHONPATH": src}).stdout
+    assert out == "pending [1, 2, 3]\natexit\n"

@@ -1,10 +1,14 @@
+import gc
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
 from conftest import run_cli
 
+import hollowsimplex
 from hollowsimplex.cli import parse_tuple, tuple_str
 from hollowsimplex.simplex import SimplexSpec
 
@@ -160,6 +164,13 @@ def test_agree_command():
     assert doc["tuples_checked"] == 12 and doc["points_checked"] == 96
 
 
+def test_threads_do_not_change_output(no_child_left):
+    for argv in (["classify", "--a-max", "6", "--x-max", "30", "--check"],
+                 ["agree", "--count", "30", "--min-len", "4", "--max-len", "4",
+                  "--window", "6"]):
+        assert run_cli([*argv, "--threads", "2"]) == run_cli([*argv, "--threads", "1"])
+
+
 def test_invalid_inputs_exit_two():
     assert run_cli(["asym", "--tuple", "6,x,15"])[0] == 2
     assert run_cli(["hollow", "--alpha", "3,5,7"])[0] == 2
@@ -226,3 +237,52 @@ def test_csv_and_table_formats_render():
     code, out = run_cli(["--format", "table", "asym", "--tuple", "6,10,15"])
     assert code == 0
     assert "payload.asymptotically_hollow: true" in out
+
+
+def _launch(argv, stdout=subprocess.PIPE):
+    """`python -m hollowsimplex argv` with buffered stdout, as in a terminal
+    pipeline: PYTHONUNBUFFERED would hide errors of the final flush."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(hollowsimplex.__file__))
+    return subprocess.Popen([sys.executable, "-m", "hollowsimplex", *argv], env=env,
+                            stdout=stdout, stderr=subprocess.PIPE)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["asym", "--tuple", "6,10,15"], 0),
+    (["asym", "--tuple", "3,7,9"], 1),
+    (["agree", "--threads", "0"], 2),
+])
+def test_module_entry_point_matches_main(argv, code):
+    out, err = _launch(argv).communicate(timeout=60)
+    assert run_cli(argv) == (code, out.decode())
+    assert err.decode().startswith("error: ") == (code == 2)
+
+
+def test_main_leaves_gc_unfrozen():
+    # gc.freeze() belongs to the process entry point, never to main()
+    before = gc.get_freeze_count()
+    assert run_cli(["family", "--n", "6"])[0] == 0
+    assert gc.get_freeze_count() == before
+
+
+def _assert_one_error_line(proc, expected):
+    with proc.stderr:
+        err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 2
+    assert err.splitlines() == [f"error: {expected}"], err
+
+
+def test_closed_output_pipe_exits_two():
+    # The output is far larger than a pipe's buffer, so writing it fails.
+    proc = _launch(["points", "--alpha", "2,15,20:201767"])
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    _assert_one_error_line(proc, "[Errno 32] Broken pipe")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_output_device_exits_two():
+    with open("/dev/full", "wb") as full:
+        proc = _launch(["asym", "--tuple", "6,10,15"], stdout=full)
+    _assert_one_error_line(proc, "[Errno 28] No space left on device")

@@ -38,13 +38,15 @@ def test_launch_loads_no_compute_module():
     loaded = _loaded_after("import hollowsimplex, hollowsimplex.cli as cli\ncli.build_parser()")
     assert "hollowsimplex.cli" in loaded
     assert not {f"hollowsimplex.{m}" for m in COMPUTE} & loaded
-    assert "dataclasses" not in loaded
+    # nor heavier stdlib modules that building the parser never needs
+    assert not {"dataclasses", "pickle", "concurrent"} & loaded
 
 
 @pytest.mark.parametrize("argv, used, unused", [
     (["sset", "--x", "30", "--r", "3", "--method", "both"], "residues", ("simplex",)),
     (["family", "--n", "8"], "classify", ("simplex", "proscriptive")),
     (["asym", "--tuple", "6,10,15"], "asymptotic", ("simplex",)),
+    (["agree", "--count", "3", "--window", "2"], "simplex", ("proscriptive",)),
 ])
 def test_subcommand_loads_only_what_it_runs(argv, used, unused):
     loaded = _loaded_after(
@@ -55,6 +57,7 @@ def test_subcommand_loads_only_what_it_runs(argv, used, unused):
     )
     assert f"hollowsimplex.{used}" in loaded
     assert not {f"hollowsimplex.{m}" for m in unused} & loaded
+    assert "pickle" not in loaded  # loaded only where workers are forked
 
 
 def test_export_table_resolves_to_submodules():
