@@ -4,16 +4,20 @@ Everything downstream leans on a few kernels: the shifted remainder that
 lands in {1, ..., x} instead of {0, ..., x-1} and its sums, gcd content,
 subset sums, half-open rational intervals, and unions of all positive
 integer dilates of such intervals. Endpoints are `fractions.Fraction`; no
-float ever enters a comparison.
+float ever enters a comparison. `fractions` is imported where an interval
+is built, so callers of the integer kernels alone never load it.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Iterable, Iterator, NamedTuple, NoReturn, Optional, Sequence
+from typing import (TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, NoReturn,
+                    Optional, Sequence)
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def rem_pos(x: int, y: int) -> int:
@@ -150,6 +154,8 @@ class HalfOpenInterval(_HalfOpenInterval):
     __slots__ = ()
 
     def __new__(cls, lo, hi) -> "HalfOpenInterval":
+        from fractions import Fraction
+
         return super().__new__(cls, Fraction(lo), Fraction(hi))
 
 

@@ -2,22 +2,26 @@
 
 One structured document per invocation on stdout, diagnostics on stderr.
 Exit codes: 0 computed, 1 computed with a negative verdict (for scripting),
-2 invalid input or a computation that could not finish (out of memory,
-recursion limit, internal error), with a one-line diagnostic. Output is
-byte-identical across repeated invocations; rationals are printed as exact
-"p/q" strings, never floats.
+2 a usage error, invalid input or a computation that could not finish (out
+of memory, recursion limit, internal error), with a one-line diagnostic.
+Output is byte-identical across repeated invocations; rationals are printed
+as exact "p/q" strings, never floats.
 
-Each handler imports the submodules it computes with, so a launch loads
-only what its subcommand runs and building the parser loads none of them.
+Arguments are read against the tables GLOBAL_OPTIONS and COMMANDS: global
+options, the command, then its options, as `--name value` or `--name=value`;
+the last of a repeated option wins and no abbreviation is accepted. Each
+handler imports the submodules it computes with, so a launch loads only what
+its subcommand runs and parsing loads none of them; the csv and table output
+and the help text live in `render`, which a json launch does not load.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 import time
-from typing import TYPE_CHECKING, Any, Optional, Sequence
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Optional, Sequence
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -79,7 +83,7 @@ def _datum_doc(d: ProscriptiveDatum) -> dict[str, Any]:
     }
 
 
-def _cmd_hollow(args: argparse.Namespace) -> tuple[dict, dict, Optional[bool]]:
+def _cmd_hollow(args: SimpleNamespace) -> tuple[dict, dict, Optional[bool]]:
     from . import simplex
 
     spec = simplex.SimplexSpec.parse(args.alpha)
@@ -91,7 +95,7 @@ def _cmd_hollow(args: argparse.Namespace) -> tuple[dict, dict, Optional[bool]]:
     return {"alpha": str(spec)}, payload, hit is None
 
 
-def _cmd_empty(args: argparse.Namespace) -> tuple[dict, dict, Optional[bool]]:
+def _cmd_empty(args: SimpleNamespace) -> tuple[dict, dict, Optional[bool]]:
     from . import simplex
 
     spec = simplex.SimplexSpec.parse(args.alpha)
@@ -103,7 +107,7 @@ def _cmd_empty(args: argparse.Namespace) -> tuple[dict, dict, Optional[bool]]:
     return {"alpha": str(spec)}, payload, verdict
 
 
-def _cmd_points(args: argparse.Namespace) -> tuple[dict, dict, Optional[bool]]:
+def _cmd_points(args: SimpleNamespace) -> tuple[dict, dict, Optional[bool]]:
     from . import simplex
 
     spec = simplex.SimplexSpec.parse(args.alpha)
@@ -116,7 +120,7 @@ def _cmd_points(args: argparse.Namespace) -> tuple[dict, dict, Optional[bool]]:
     return {"alpha": str(spec)}, payload, None
 
 
-def _cmd_facets(args: argparse.Namespace) -> tuple[dict, dict, Optional[bool]]:
+def _cmd_facets(args: SimpleNamespace) -> tuple[dict, dict, Optional[bool]]:
     from . import simplex
 
     spec = simplex.SimplexSpec.parse(args.alpha)
@@ -131,7 +135,7 @@ def _cmd_facets(args: argparse.Namespace) -> tuple[dict, dict, Optional[bool]]:
     return {"alpha": str(spec)}, payload, None
 
 
-def _cmd_width(args: argparse.Namespace) -> tuple[dict, dict, Optional[bool]]:
+def _cmd_width(args: SimpleNamespace) -> tuple[dict, dict, Optional[bool]]:
     from . import simplex
 
     spec = simplex.SimplexSpec.parse(args.alpha)
@@ -152,7 +156,7 @@ def _cmd_width(args: argparse.Namespace) -> tuple[dict, dict, Optional[bool]]:
     return {"alpha": str(spec)}, payload, None
 
 
-def _cmd_asym(args: argparse.Namespace) -> tuple[dict, dict, Optional[bool]]:
+def _cmd_asym(args: SimpleNamespace) -> tuple[dict, dict, Optional[bool]]:
     from . import asymptotic
 
     a = parse_tuple(args.tuple)
@@ -165,7 +169,7 @@ def _cmd_asym(args: argparse.Namespace) -> tuple[dict, dict, Optional[bool]]:
     return {"tuple": tuple_str(a)}, payload, witness is None
 
 
-def _cmd_thresholds(args: argparse.Namespace) -> tuple[dict, dict, Optional[bool]]:
+def _cmd_thresholds(args: SimpleNamespace) -> tuple[dict, dict, Optional[bool]]:
     from . import asymptotic
 
     a = parse_tuple(args.tuple)
@@ -174,7 +178,7 @@ def _cmd_thresholds(args: argparse.Namespace) -> tuple[dict, dict, Optional[bool
     return {"tuple": tuple_str(a)}, payload, None
 
 
-def _cmd_proscribe(args: argparse.Namespace) -> tuple[dict, dict, Optional[bool]]:
+def _cmd_proscribe(args: SimpleNamespace) -> tuple[dict, dict, Optional[bool]]:
     from . import proscriptive
 
     b = parse_tuple(args.tuple)
@@ -192,7 +196,7 @@ def _cmd_proscribe(args: argparse.Namespace) -> tuple[dict, dict, Optional[bool]
     return echo, payload, None
 
 
-def _cmd_extend(args: argparse.Namespace) -> tuple[dict, dict, Optional[bool]]:
+def _cmd_extend(args: SimpleNamespace) -> tuple[dict, dict, Optional[bool]]:
     from . import proscriptive
 
     b = parse_tuple(args.tuple)
@@ -210,7 +214,7 @@ def _cmd_extend(args: argparse.Namespace) -> tuple[dict, dict, Optional[bool]]:
     return {"tuple": tuple_str(b)}, payload, None
 
 
-def _cmd_classify(args: argparse.Namespace) -> tuple[dict, dict, Optional[bool]]:
+def _cmd_classify(args: SimpleNamespace) -> tuple[dict, dict, Optional[bool]]:
     from . import classify
 
     result = classify.classify_triples(
@@ -237,7 +241,7 @@ def _cmd_classify(args: argparse.Namespace) -> tuple[dict, dict, Optional[bool]]
     return echo, payload, verdict
 
 
-def _cmd_family(args: argparse.Namespace) -> tuple[dict, dict, Optional[bool]]:
+def _cmd_family(args: SimpleNamespace) -> tuple[dict, dict, Optional[bool]]:
     from . import classify
 
     a = classify.doubling_family(args.n)
@@ -246,7 +250,7 @@ def _cmd_family(args: argparse.Namespace) -> tuple[dict, dict, Optional[bool]]:
     return {"n": args.n}, payload, all(checks.values())
 
 
-def _cmd_sset(args: argparse.Namespace) -> tuple[dict, dict, Optional[bool]]:
+def _cmd_sset(args: SimpleNamespace) -> tuple[dict, dict, Optional[bool]]:
     from . import residues
 
     echo = {"x": args.x, "r": args.r, "variant": args.variant, "method": args.method}
@@ -270,7 +274,7 @@ def _cmd_sset(args: argparse.Namespace) -> tuple[dict, dict, Optional[bool]]:
     return echo, payload, verdict
 
 
-def _cmd_agree(args: argparse.Namespace) -> tuple[dict, dict, Optional[bool]]:
+def _cmd_agree(args: SimpleNamespace) -> tuple[dict, dict, Optional[bool]]:
     from . import asymptotic
 
     tuples = asymptotic.sample_tuples(
@@ -307,172 +311,161 @@ def _cmd_agree(args: argparse.Namespace) -> tuple[dict, dict, Optional[bool]]:
     return echo, payload, report.ok
 
 
-_HANDLERS = {
-    "hollow": _cmd_hollow,
-    "empty": _cmd_empty,
-    "points": _cmd_points,
-    "facets": _cmd_facets,
-    "width": _cmd_width,
-    "asym": _cmd_asym,
-    "thresholds": _cmd_thresholds,
-    "proscribe": _cmd_proscribe,
-    "extend": _cmd_extend,
-    "classify": _cmd_classify,
-    "family": _cmd_family,
-    "sset": _cmd_sset,
-    "agree": _cmd_agree,
+# Each command maps to (handler, help text, options). An option is (type,
+# default): the type is int, str, a tuple of choices, or bool for a flag, and
+# the default REQUIRED makes the option required.
+REQUIRED = object()
+_SPEC = {"alpha": (str, REQUIRED)}
+_TUPLE = {"tuple": (str, REQUIRED)}
+
+GLOBAL_OPTIONS = {"format": (("json", "csv", "table"), "json"), "timing": (bool, False)}
+COMMANDS = {
+    "hollow": (_cmd_hollow, "decide hollowness of a simplex a1,...:d, e.g. 3,5,7:30", _SPEC),
+    "empty": (_cmd_empty, "decide emptiness of a simplex", _SPEC),
+    "points": (_cmd_points, "list all non-extreme lattice points", _SPEC),
+    "facets": (_cmd_facets, "facet volumes plus the minors-gcd cross-check", _SPEC),
+    "width": (_cmd_width, "width-one witness and the reduced-row upper bound", _SPEC),
+    "asym": (_cmd_asym, "decide asymptotic hollowness of a tuple, e.g. 6,10,15", _TUPLE),
+    "thresholds": (_cmd_thresholds, "stabilization thresholds of a tuple", _TUPLE),
+    "proscribe": (
+        _cmd_proscribe, "proscriptive interval data for a prefix tuple; --index is 0-based",
+        {**_TUPLE, "index": (int, None), "multiplier": (int, None)},
+    ),
+    "extend": (
+        _cmd_extend, "search extension values keeping a prefix asymptotically hollow", _TUPLE,
+    ),
+    "classify": (
+        _cmd_classify, "search a box for asymptotically hollow triples; --check compares "
+        "against the known reference list",
+        {"a-max": (int, REQUIRED), "x-max": (int, REQUIRED), "min-entry": (int, 2),
+         "check": (bool, False), "threads": (int, 1)},
+    ),
+    "family": (
+        _cmd_family, "the doubling family member for ambient dimension n", {"n": (int, REQUIRED)},
+    ),
+    # the choices of --variant are residues.STRICT and residues.EXEMPT, spelled
+    # out so that parsing imports no compute module
+    "sset": (
+        _cmd_sset, "residues with bounded remainders under all multipliers",
+        {"x": (int, REQUIRED), "r": (int, REQUIRED), "variant": (("strict", "exempt"), "strict"),
+         "method": (("brute", "closed", "both"), "brute")},
+    ),
+    "agree": (
+        _cmd_agree, "criterion versus brute force over sampled tuples",
+        {"count": (int, 200), "min-len": (int, 3), "max-len": (int, 4), "low": (int, 2),
+         "high": (int, 12), "window": (int, 50), "seed": (int, 0), "threads": (int, 1)},
+    ),
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="hollowsimplex",
-        description="Exact decisions about hollow lattice simplices and "
-        "asymptotically hollow tuples.",
-    )
-    parser.add_argument(
-        "--format", choices=("json", "csv", "table"), default="json",
-        help="output serialization (default json)",
-    )
-    parser.add_argument(
-        "--timing", action="store_true",
-        help="include elapsed_ms in the output (breaks byte-identical reruns)",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
-        return sub.add_parser(name, help=help_text)
-
-    p = add("hollow", "decide hollowness of a simplex a1,...:d")
-    p.add_argument("--alpha", required=True, help="simplex spec, e.g. 3,5,7:30")
-
-    p = add("empty", "decide emptiness of a simplex")
-    p.add_argument("--alpha", required=True)
-
-    p = add("points", "list all non-extreme lattice points")
-    p.add_argument("--alpha", required=True)
-
-    p = add("facets", "facet volumes plus the minors-gcd cross-check")
-    p.add_argument("--alpha", required=True)
-
-    p = add("width", "width-one witness and the reduced-row upper bound")
-    p.add_argument("--alpha", required=True)
-
-    p = add("asym", "decide asymptotic hollowness of a tuple")
-    p.add_argument("--tuple", required=True, help="comma-separated entries, e.g. 6,10,15")
-
-    p = add("thresholds", "stabilization thresholds of a tuple")
-    p.add_argument("--tuple", required=True)
-
-    p = add("proscribe", "proscriptive interval data for a prefix tuple")
-    p.add_argument("--tuple", required=True)
-    p.add_argument("--index", type=int, default=None, help="entry index (0-based)")
-    p.add_argument("--multiplier", type=int, default=None)
-
-    p = add("extend", "search extension values keeping a prefix asymptotically hollow")
-    p.add_argument("--tuple", required=True)
-
-    p = add("classify", "search a box for asymptotically hollow triples")
-    p.add_argument("--a-max", type=int, required=True)
-    p.add_argument("--x-max", type=int, required=True)
-    p.add_argument("--min-entry", type=int, default=2)
-    p.add_argument("--check", action="store_true",
-                   help="compare against the known reference list")
-    p.add_argument("--threads", type=int, default=1)
-
-    p = add("family", "the doubling family member for ambient dimension n")
-    p.add_argument("--n", type=int, required=True)
-
-    p = add("sset", "residues with bounded remainders under all multipliers")
-    p.add_argument("--x", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    # residues.STRICT and residues.EXEMPT, spelled out so that building the
-    # parser imports no compute module
-    p.add_argument("--variant", choices=("strict", "exempt"), default="strict")
-    p.add_argument("--method", choices=("brute", "closed", "both"), default="brute")
-
-    p = add("agree", "criterion versus brute force over sampled tuples")
-    p.add_argument("--count", type=int, default=200)
-    p.add_argument("--min-len", type=int, default=3)
-    p.add_argument("--max-len", type=int, default=4)
-    p.add_argument("--low", type=int, default=2)
-    p.add_argument("--high", type=int, default=12)
-    p.add_argument("--window", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
-
-    return parser
+def _value(name: str, kind: Any, text: str) -> Any:
+    if kind is int:
+        try:
+            return int(text)
+        except ValueError:
+            raise ValueError(f"--{name}: invalid int value {text!r}") from None
+    if kind is not str and text not in kind:
+        raise ValueError(f"--{name}: invalid choice {text!r} (choose from {', '.join(kind)})")
+    return text
 
 
-def _render_csv(doc: dict[str, Any]) -> str:
-    lines = ["key,value"]
+def parse_args(argv: Sequence[str]) -> Optional[SimpleNamespace]:
+    """The arguments read against the tables, or None when -h/--help asks for help.
 
-    def scalar(value: Any) -> str:
-        text = json.dumps(value) if not isinstance(value, str) else value
-        if any(c in text for c in ",\"\n"):
-            return '"' + text.replace('"', '""') + '"'
-        return text
-
-    tables: list[tuple[str, list[dict]]] = []
-    for section in ("command", "input", "payload", "elapsed_ms"):
-        if section not in doc:
+    A usage error raises ValueError with a one-line message.
+    """
+    command, table, values = None, GLOBAL_OPTIONS, {}
+    tokens = iter(argv)
+    for token in tokens:
+        if token in ("-h", "--help"):
+            return None
+        if not token.startswith("--"):
+            if command is not None:
+                raise ValueError(f"unexpected argument {token!r}")
+            if token not in COMMANDS:
+                raise ValueError(f"unknown command {token!r} (choose from {', '.join(COMMANDS)})")
+            command, table = token, COMMANDS[token][2]
             continue
-        value = doc[section]
-        if not isinstance(value, dict):
-            lines.append(f"{section},{scalar(value)}")
+        name, given, text = token[2:].partition("=")
+        if name not in table:
+            where = f"for command {command}" if command else "before the command"
+            raise ValueError(f"unknown option --{name} {where}")
+        kind = table[name][0]
+        if kind is bool:
+            if given:
+                raise ValueError(f"--{name} takes no value")
+            values[name] = True
             continue
-        for key, item in value.items():
-            if isinstance(item, list) and item and all(isinstance(e, dict) for e in item):
-                tables.append((f"{section}.{key}", item))
-            else:
-                lines.append(f"{section}.{key},{scalar(item)}")
-    for name, records in tables:
-        lines.append("")
-        lines.append(name)
-        headers = list(records[0].keys())
-        lines.append(",".join(headers))
-        for rec in records:
-            lines.append(",".join(scalar(rec.get(h)) for h in headers))
-    return "\n".join(lines) + "\n"
+        if not given:
+            text = next(tokens, "--")
+            if text.startswith("--"):
+                raise ValueError(f"--{name} needs a value")
+        values[name] = _value(name, kind, text)
+    if command is None:
+        raise ValueError(f"no command given (choose from {', '.join(COMMANDS)})")
+    for name, (kind, default) in {**GLOBAL_OPTIONS, **COMMANDS[command][2]}.items():
+        if name not in values:
+            if default is REQUIRED:
+                raise ValueError(f"command {command} needs --{name}")
+            values[name] = default
+    return SimpleNamespace(command=command,
+                           **{name.replace("-", "_"): v for name, v in values.items()})
 
 
-def _render_table(doc: dict[str, Any]) -> str:
-    lines = []
+def build_parser():
+    """The argument parser: parse_args, with nothing to build, as the tables are its state."""
+    return parse_args
 
-    def emit(prefix: str, value: Any) -> None:
-        if isinstance(value, dict):
-            for key, item in value.items():
-                emit(f"{prefix}.{key}" if prefix else key, item)
-        elif isinstance(value, list) and value and all(isinstance(e, dict) for e in value):
-            headers = list(value[0].keys())
-            widths = [
-                max(len(h), *(len(json.dumps(r.get(h), default=str)) for r in value))
-                for h in headers
-            ]
-            lines.append(f"{prefix}:")
-            lines.append("  " + "  ".join(h.ljust(w) for h, w in zip(headers, widths)))
-            for rec in value:
-                lines.append(
-                    "  "
-                    + "  ".join(
-                        json.dumps(rec.get(h), default=str).ljust(w)
-                        for h, w in zip(headers, widths)
-                    )
-                )
-        else:
-            lines.append(f"{prefix}: {json.dumps(value, default=str)}")
 
-    emit("", doc)
-    return "\n".join(lines) + "\n"
+def _render_json(doc: dict[str, Any]) -> Iterator[str]:
+    yield from json.JSONEncoder(indent=2).iterencode(doc)
+    yield "\n"
+
+
+_BATCH = 1 << 16
+
+
+def _write(pieces: Iterable[str]) -> None:
+    """Write the pieces to stdout in batches of at most _BATCH bytes, each in full.
+
+    The bytes go to the binary layer, when stdout has one, and a short write
+    is continued: the write-through text layer of an unbuffered stdout drops
+    the rest of a short write, so a closed pipe would pass unseen. The text
+    is never held whole.
+    """
+    out = sys.stdout
+    binary = getattr(out, "buffer", None)
+    if binary is None:  # an in-memory text stream takes any length whole
+        out.writelines(pieces)
+        return
+    out.flush()
+
+    def send(text: str) -> None:
+        data = memoryview(text.encode(out.encoding, out.errors))
+        while data:
+            data = data[binary.write(data[:_BATCH]):]
+
+    batch: list[str] = []
+    size = 0
+    for piece in pieces:
+        batch.append(piece)
+        size += len(piece)
+        if size >= _BATCH:
+            send("".join(batch))
+            batch, size = [], 0
+    send("".join(batch))
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handler = _HANDLERS[args.command]
-    started = time.monotonic()
     try:
-        echo, payload, verdict = handler(args)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            from .render import help_text
+
+            _write(help_text())
+            return 0
+        started = time.monotonic()
+        echo, payload, verdict = COMMANDS[args.command][0](args)
     except (ValueError, MemoryError, RecursionError, RuntimeError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
@@ -480,9 +473,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.timing:
         doc["elapsed_ms"] = int((time.monotonic() - started) * 1000)
     if args.format == "json":
-        sys.stdout.write(json.dumps(doc, indent=2) + "\n")
-    elif args.format == "csv":
-        sys.stdout.write(_render_csv(doc))
+        _write(_render_json(doc))
     else:
-        sys.stdout.write(_render_table(doc))
+        from . import render
+
+        _write(render.csv(doc) if args.format == "csv" else render.table(doc))
     return 0 if verdict in (None, True) else 1

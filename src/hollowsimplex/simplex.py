@@ -14,11 +14,13 @@ O(n) per height on each stretch's half-line of candidates.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import combinations, repeat
-from typing import Iterator, NamedTuple, Optional
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional
 
 from .arith import content, subset_sums
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 INTERIOR = "interior"
 FACET_BOUNDARY = "facet-boundary"
@@ -190,24 +192,33 @@ def _heights(spec: SimplexSpec, interior: bool) -> Iterator[int]:
         start = end
 
 
-def _report(spec: SimplexSpec, k: int) -> LatticePointReport:
-    """The unique non-extreme lattice point at a height k that carries one."""
+def _reports(spec: SimplexSpec, heights: Iterable[int]) -> tuple[LatticePointReport, ...]:
+    """The unique non-extreme lattice point at each height, which must carry one.
+
+    `fractions` is imported here, once per call rather than once per point,
+    so a hollow verdict never loads it.
+    """
+    from fractions import Fraction
+
     d = spec.d
-    residues = [k * ai % d for ai in spec.a]
-    total = k + sum(d - r for r in residues if r)
-    coords = tuple(-(-k * ai // d) for ai in spec.a) + (k,)
-    strict_interior = all(residues) and total < d
-    return LatticePointReport(
-        k=k,
-        coords=coords,
-        location=INTERIOR if strict_interior else FACET_BOUNDARY,
-        lambda_sum=Fraction(total, d),
-    )
+    out = []
+    for k in heights:
+        residues = [k * ai % d for ai in spec.a]
+        total = k + sum(d - r for r in residues if r)
+        coords = tuple(-(-k * ai // d) for ai in spec.a) + (k,)
+        strict_interior = all(residues) and total < d
+        out.append(LatticePointReport(
+            k=k,
+            coords=coords,
+            location=INTERIOR if strict_interior else FACET_BOUNDARY,
+            lambda_sum=Fraction(total, d),
+        ))
+    return tuple(out)
 
 
 def enumerate_non_extreme_points(spec: SimplexSpec) -> tuple[LatticePointReport, ...]:
     """Every lattice point of the simplex other than its vertices, by ascending k."""
-    return tuple(_report(spec, k) for k in _heights(spec, interior=False))
+    return _reports(spec, _heights(spec, interior=False))
 
 
 def first_interior_point(spec: SimplexSpec) -> Optional[LatticePointReport]:
@@ -218,7 +229,7 @@ def first_interior_point(spec: SimplexSpec) -> Optional[LatticePointReport]:
     below 1.
     """
     k = next(_heights(spec, interior=True), None)
-    return None if k is None else _report(spec, k)
+    return None if k is None else _reports(spec, (k,))[0]
 
 
 def is_hollow(spec: SimplexSpec) -> bool:
@@ -418,6 +429,8 @@ def pair_interior_witness(a: int, x: int, big_n: int) -> Optional[PairWitness]:
         return None
     r = big_n % x or x
     m = (big_n - r) // x
+    from fractions import Fraction
+
     lam = Fraction(big_n - m * a + r + m, big_n)
     if lam >= 1:
         return None

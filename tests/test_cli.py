@@ -1,4 +1,5 @@
 import gc
+import io
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ import pytest
 from conftest import run_cli
 
 import hollowsimplex
+from hollowsimplex import cli
 from hollowsimplex.cli import parse_tuple, tuple_str
 from hollowsimplex.simplex import SimplexSpec
 
@@ -177,9 +179,7 @@ def test_invalid_inputs_exit_two():
     assert run_cli(["sset", "--x", "5", "--r", "3"])[0] == 2
     assert run_cli(["asym", "--tuple", "7"])[0] == 2
     # asym has one multiplier range and no option to choose another
-    with pytest.raises(SystemExit) as exc:
-        run_cli(["asym", "--tuple", "6,10,15", "--range", "full"])
-    assert exc.value.code == 2
+    assert run_cli(["asym", "--tuple", "6,10,15", "--range", "full"])[0] == 2
     assert run_cli(["agree", "--min-len", "5", "--max-len", "3"])[0] == 2
     # Sweeps that would check nothing, or sample from an empty range, are refused.
     for argv in (["--window", "0"], ["--window", "-3"], ["--count", "0"],
@@ -192,16 +192,92 @@ def test_invalid_inputs_exit_two():
     assert run_cli(["agree", "--threads", too_many])[0] == 2
 
 
+# Each command with its required options, and every option it then parses
+# to: the values argparse gave, written out.
+_PARSED = [
+    (["hollow", "--alpha", "3,5,7:30"], {"alpha": "3,5,7:30"}),
+    (["empty", "--alpha", "3,5,7:31"], {"alpha": "3,5,7:31"}),
+    (["points", "--alpha", "2,3:12"], {"alpha": "2,3:12"}),
+    (["facets", "--alpha", "3,5,7:30"], {"alpha": "3,5,7:30"}),
+    (["width", "--alpha", "2,3:13"], {"alpha": "2,3:13"}),
+    (["asym", "--tuple", "6,10,15"], {"tuple": "6,10,15"}),
+    (["thresholds", "--tuple", "3,5,7"], {"tuple": "3,5,7"}),
+    (["proscribe", "--tuple", "29,38,66"],
+     {"tuple": "29,38,66", "index": None, "multiplier": None}),
+    (["extend", "--tuple", "29,38,66"], {"tuple": "29,38,66"}),
+    (["classify", "--a-max", "6", "--x-max", "16"],
+     {"a_max": 6, "x_max": 16, "min_entry": 2, "check": False, "threads": 1}),
+    (["family", "--n", "5"], {"n": 5}),
+    (["sset", "--x", "23", "--r", "3"],
+     {"x": 23, "r": 3, "variant": "strict", "method": "brute"}),
+    (["agree"], {"count": 200, "min_len": 3, "max_len": 4, "low": 2, "high": 12,
+                 "window": 50, "seed": 0, "threads": 1}),
+]
+
+
+@pytest.mark.parametrize("argv, options", _PARSED)
+def test_parsed_defaults(argv, options):
+    parsed = vars(cli.build_parser()(argv))
+    assert parsed == {"format": "json", "timing": False, "command": argv[0], **options}
+
+
+def test_defaults_cover_every_command():
+    assert [argv[0] for argv, _ in _PARSED] == list(cli.COMMANDS)
+
+
+def test_parsing_rules():
+    args = cli.parse_args(["--format=csv", "--timing", "classify", "--a-max=3",
+                           "--x-max", "9", "--x-max", "12", "--check", "--threads", "-4"])
+    assert vars(args) == {"format": "csv", "timing": True, "command": "classify",
+                          "a_max": 3, "x_max": 12, "min_entry": 2, "check": True,
+                          "threads": -4}
+    # a value given with = may start with dashes
+    assert cli.parse_args(["asym", "--tuple=--1"]).tuple == "--1"
+
+
+@pytest.mark.parametrize("argv", [
+    [],  # no command
+    ["frobnicate"],  # unknown command
+    ["hollow", "--alpha", "3,5,7:30", "--bogus", "1"],  # unknown option
+    ["hollow", "--tuple", "6,10,15"],  # an option of another command
+    ["asym", "--tuple", "6,10,15", "--format", "csv"],  # global option after the command
+    ["classify", "--a-max", "3"],  # missing required option
+    ["family", "--n"],  # missing value
+    ["proscribe", "--tuple", "3,5", "--index", "--multiplier", "2"],  # missing value
+    ["family", "--n", "x"],  # not an integer
+    ["sset", "--x", "9", "--r", "2", "--method", "fast"],  # outside the choices
+    ["--format", "xml", "family", "--n", "4"],  # outside the choices
+    ["classify", "--a-m", "3", "--x-max", "9"],  # abbreviations are not accepted
+    ["classify", "--a-max", "3", "--x-max", "9", "--check=yes"],  # a flag takes no value
+    ["family", "--n", "4", "5"],  # stray argument
+])
+def test_usage_error_is_one_line_exit_two(argv, capsys):
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["family", "--n", "4", "--help"]])
+def test_help_lists_every_command(argv, capsys):
+    assert cli.main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    listed = [line.split()[0] for line in out.splitlines() if line[:3].strip() and
+              line.startswith("  ")]
+    assert listed == list(cli.COMMANDS)
+    for _, _, options in cli.COMMANDS.values():
+        assert all(f"--{name}" in out for name in options)
+
+
 def test_failed_computation_exits_two(monkeypatch, capsys):
     # exit 1 is a computed negative verdict; a computation that dies is exit 2
-    from hollowsimplex import cli
-
     for exc in (MemoryError(), RecursionError("maximum recursion depth exceeded"),
                 RuntimeError("prefix admits unbounded extensions")):
         def handler(args, exc=exc):
             raise exc
 
-        monkeypatch.setitem(cli._HANDLERS, "family", handler)
+        monkeypatch.setitem(cli.COMMANDS, "family", (handler, *cli.COMMANDS["family"][1:]))
         assert cli.main(["family", "--n", "5"]) == 2
         out, err = capsys.readouterr()
         assert out == ""
@@ -239,10 +315,12 @@ def test_csv_and_table_formats_render():
     assert "payload.asymptotically_hollow: true" in out
 
 
-def _launch(argv, stdout=subprocess.PIPE):
-    """`python -m hollowsimplex argv` with buffered stdout, as in a terminal
-    pipeline: PYTHONUNBUFFERED would hide errors of the final flush."""
+def _launch(argv, stdout=subprocess.PIPE, unbuffered=False):
+    """`python -m hollowsimplex argv`, with buffered stdout as in a terminal
+    pipeline unless `unbuffered` sets PYTHONUNBUFFERED."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     env["PYTHONPATH"] = os.path.dirname(os.path.dirname(hollowsimplex.__file__))
     return subprocess.Popen([sys.executable, "-m", "hollowsimplex", *argv], env=env,
                             stdout=stdout, stderr=subprocess.PIPE)
@@ -279,6 +357,44 @@ def test_closed_output_pipe_exits_two():
     assert len(proc.stdout.read(100)) == 100
     proc.stdout.close()
     _assert_one_error_line(proc, "[Errno 32] Broken pipe")
+
+
+def test_closed_unbuffered_output_pipe_exits_two():
+    # Unbuffered, the text layer writes straight through to the pipe and
+    # drops the rest of a short write; main continues it, so the closed
+    # pipe is seen.
+    proc = _launch(["points", "--alpha", "2,9,18:201973"], unbuffered=True)
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    _assert_one_error_line(proc, "[Errno 32] Broken pipe")
+
+
+class _ShortWrites(io.RawIOBase):
+    """A raw stream that takes at most 1000 bytes per write."""
+
+    def __init__(self):
+        self.data = bytearray()
+        self.asked = []
+
+    def writable(self):
+        return True
+
+    def write(self, b):
+        self.asked.append(len(b))
+        self.data += bytes(b[:1000])
+        return min(len(b), 1000)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+def test_short_writes_are_continued_in_bounded_batches(monkeypatch, fmt):
+    argv = ["--format", fmt, "points", "--alpha", "2,3:48007"]
+    raw = _ShortWrites()
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, write_through=True))
+    assert cli.main(argv) == 0
+    text = run_cli(argv)[1]
+    assert len(text) > 1 << 17
+    assert raw.data.decode() == text
+    assert max(raw.asked) <= 1 << 16
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")

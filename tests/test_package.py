@@ -40,6 +40,7 @@ def test_launch_loads_no_compute_module():
     assert not {f"hollowsimplex.{m}" for m in COMPUTE} & loaded
     # nor heavier stdlib modules that building the parser never needs
     assert not {"dataclasses", "pickle", "concurrent"} & loaded
+    assert not {"argparse", "gettext", "locale", "fractions", "decimal"} & loaded
 
 
 @pytest.mark.parametrize("argv, used, unused", [
@@ -58,6 +59,30 @@ def test_subcommand_loads_only_what_it_runs(argv, used, unused):
     assert f"hollowsimplex.{used}" in loaded
     assert not {f"hollowsimplex.{m}" for m in unused} & loaded
     assert "pickle" not in loaded  # loaded only where workers are forked
+    assert "hollowsimplex.render" not in loaded  # json output is written by cli
+
+
+@pytest.mark.parametrize("argv, builds_rationals", [
+    (["asym", "--tuple", "6,10,15"], False),
+    (["thresholds", "--tuple", "3,5,7"], False),
+    (["family", "--n", "8"], False),
+    (["sset", "--x", "30", "--r", "3", "--method", "both"], False),
+    (["agree", "--count", "3", "--window", "2"], False),
+    (["empty", "--alpha", "3,5,7:31"], False),
+    (["width", "--alpha", "2,3,3,3,4:12"], False),
+    (["facets", "--alpha", "3,5,7:30"], False),
+    (["hollow", "--alpha", "3,5,7:30"], False),  # a hollow verdict has no witness
+    (["points", "--alpha", "2,3:12"], True),
+])
+def test_fractions_load_only_where_a_rational_is_built(argv, builds_rationals):
+    loaded = _loaded_after(
+        "import contextlib, io\n"
+        "from hollowsimplex.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({argv!r}) == 0"
+    )
+    assert ("fractions" in loaded) == builds_rationals
+    assert ("decimal" in loaded) == builds_rationals
 
 
 def test_export_table_resolves_to_submodules():
