@@ -5,7 +5,7 @@ lands in {1, ..., x} instead of {0, ..., x-1} and its sums, gcd content,
 subset sums, half-open rational intervals, and unions of all positive
 integer dilates of such intervals. Endpoints are `fractions.Fraction`; no
 float ever enters a comparison. `fractions` is imported where an interval
-is built, so callers of the integer kernels alone never load it.
+or a ray start is built, so callers of the integer kernels alone never load it.
 """
 
 from __future__ import annotations
@@ -13,8 +13,7 @@ from __future__ import annotations
 import math
 import os
 from itertools import combinations
-from typing import (TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, NoReturn,
-                    Optional, Sequence)
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, NoReturn, Sequence
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -164,44 +163,52 @@ def ray_start(iv: HalfOpenInterval) -> Fraction:
 
     Consecutive dilates t*[lo, hi) and (t+1)*[lo, hi) overlap or touch once
     t*hi >= (t+1)*lo, i.e. t >= lo/(hi-lo); from the least such t0 onward the
-    union of dilates is exactly [t0*lo, infinity).
+    union of dilates is exactly [t0*lo, infinity). With lo = p/q and
+    hi = u/v, t0 = ceil(p*v / (u*q - p*v)) in integers.
     """
-    if iv.is_empty:
+    from fractions import Fraction
+
+    p, q = iv.lo.as_integer_ratio()
+    u, v = iv.hi.as_integer_ratio()
+    width = u * q - p * v
+    if width <= 0:
         raise ValueError("empty interval covers no ray")
-    if iv.lo <= 0:
+    if p <= 0:
         raise ValueError("interval must have positive lower endpoint")
-    t0 = math.ceil(iv.lo / (iv.hi - iv.lo))
-    return t0 * iv.lo
+    return Fraction(-(-p * v // width) * p, q)
 
 
 class RaySummary(NamedTuple):
     """Integers missed by a union of dilated intervals, plus its infinite ray.
 
-    Every integer >= ray_start is covered by the union (ray_start is absent
-    when every input interval is empty). `gaps` lists the integers in
-    [1, horizon] covered by no dilate; all of them lie below ray_start.
+    Every integer >= ray_start is covered by the union. `gaps` lists the
+    integers in [1, horizon] covered by no dilate, where horizon is
+    ceil(ray_start); all of them lie below ray_start, so they are every gap.
     """
 
-    ray_start: Optional[Fraction]
+    ray_start: Fraction
     gaps: tuple[int, ...]
     horizon: int
 
 
-def scaled_union(intervals: Sequence[HalfOpenInterval], horizon: int) -> RaySummary:
+def scaled_union(intervals: Sequence[HalfOpenInterval]) -> RaySummary:
     """Union of every positive integer dilate of the given intervals.
 
     Write a nonempty interval as [p/q, u/v). T = y*q // p is the largest t with
     t*lo <= y and t*hi grows with t, so y lies in a positive dilate exactly when
-    y*v < T*u (false when T = 0). `gaps` are the y in [1, horizon] that no
-    interval accepts: at most horizon * len(intervals) integer tests.
+    y*v < T*u (false when T = 0). The horizon is ceil of the least ray start,
+    which is at least lo > 0, and `gaps` are the y in [1, horizon] that no
+    interval accepts: at most horizon * len(intervals) integer tests. Raises
+    ValueError when every interval is empty, since every integer is then a gap.
     """
-    if horizon < 1:
-        raise ValueError(f"horizon must be positive, got {horizon}")
     for iv in intervals:
         if iv.lo <= 0:
             raise ValueError(f"interval {iv} must have positive lower endpoint")
     live = [iv for iv in intervals if not iv.is_empty]
-    ray = min(map(ray_start, live), default=None)
+    if not live:
+        raise ValueError("every interval is empty, so every positive integer is a gap")
+    ray = min(ray_start(iv) for iv in live)
+    horizon = math.ceil(ray)
     bounds = [(*iv.lo.as_integer_ratio(), *iv.hi.as_integer_ratio()) for iv in live]
     gaps = tuple(y for y in range(1, horizon + 1)
                  if not any(y * v < y * q // p * u for p, q, u, v in bounds))

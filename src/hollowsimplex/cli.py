@@ -27,7 +27,6 @@ if TYPE_CHECKING:
     from fractions import Fraction
 
     from .arith import HalfOpenInterval
-    from .asymptotic import CriterionWitness
     from .proscriptive import ProscriptiveDatum
     from .simplex import LatticePointReport
 
@@ -64,10 +63,6 @@ def _point_doc(p: LatticePointReport) -> dict[str, Any]:
         "location": p.location,
         "lambda_sum": _frac(p.lambda_sum),
     }
-
-
-def _witness_doc(w: CriterionWitness) -> dict[str, Any]:
-    return {"index": w.index, "entry": w.entry, "t": w.t, "lhs": w.lhs, "rhs": w.rhs}
 
 
 def _datum_doc(d: ProscriptiveDatum) -> dict[str, Any]:
@@ -164,7 +159,7 @@ def _cmd_asym(args: SimpleNamespace) -> tuple[dict, dict, Optional[bool]]:
     payload = {
         "tuple": list(asymptotic.ascending(a)),
         "asymptotically_hollow": witness is None,
-        "witness": None if witness is None else _witness_doc(witness),
+        "witness": None if witness is None else witness._asdict(),
     }
     return {"tuple": tuple_str(a)}, payload, witness is None
 
@@ -186,8 +181,6 @@ def _cmd_proscribe(args: SimpleNamespace) -> tuple[dict, dict, Optional[bool]]:
     if (args.index is None) != (args.multiplier is None):
         raise ValueError("--index and --multiplier must be given together")
     if args.index is not None:
-        if not 0 <= args.index < len(b):
-            raise ValueError(f"index must lie in [0, {len(b) - 1}]")
         datum = proscriptive.proscriptive_datum(b, args.index, args.multiplier)
         echo.update({"index": args.index, "multiplier": args.multiplier})
         return echo, {"s": sum(b) - 1, "data": [_datum_doc(datum)]}, None

@@ -11,11 +11,10 @@ full criterion then filters.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from .arith import HalfOpenInterval, RaySummary, ray_start, remainder_sum, scaled_union
+from .arith import HalfOpenInterval, RaySummary, remainder_sum, scaled_union
 from .asymptotic import ascending, is_asymptotically_hollow
 
 
@@ -54,9 +53,11 @@ def _validate_prefix(b: Sequence[int]) -> tuple[int, ...]:
 
 
 def proscriptive_datum(b: Sequence[int], i: int, m: int) -> ProscriptiveDatum:
-    """The (i, m) datum of prefix b; m may be any positive integer."""
+    """The (i, m) datum of prefix b; i is 0-based and m any positive integer."""
     b = _validate_prefix(b)
     n = len(b) + 2
+    if not 0 <= i < len(b):
+        raise ValueError(f"index must lie in [0, {len(b) - 1}]")
     if m < 1:
         raise ValueError(f"multiplier must be positive, got {m}")
     ai = b[i]
@@ -111,20 +112,18 @@ class PrefixReport(NamedTuple):
 def candidate_extensions(b: Sequence[int]) -> PrefixReport:
     """Every nontrivial y such that (b, y) is asymptotically hollow.
 
-    The search horizon is max(ceil(least ray start), 1) over the nontrivial
-    data, and nothing else: every integer at or beyond the least ray start
-    lies in a dilate of that datum's interval and is proscribed, so no
-    candidate is missed.
+    The search horizon is the union's: every integer at or beyond the least
+    ray start over the nontrivial data lies in a dilate of that datum's
+    interval and is proscribed, so no candidate is missed.
     """
-    b = ascending(_validate_prefix(b))
+    b = ascending(b)
     s = sum(b) - 1
     data = nontrivial_data(b)
     if not data:
         return PrefixReport(
             b=b, s=s, data=(), unbounded=True, horizon=None, union=None, candidates=None
         )
-    horizon = max(math.ceil(min(ray_start(d.interval) for d in data)), 1)
-    union = scaled_union([d.interval for d in data], horizon)
+    union = scaled_union([d.interval for d in data])
     candidates = tuple(
         y
         for y in union.gaps
@@ -135,7 +134,7 @@ def candidate_extensions(b: Sequence[int]) -> PrefixReport:
         s=s,
         data=data,
         unbounded=False,
-        horizon=horizon,
+        horizon=union.horizon,
         union=union,
         candidates=candidates,
     )

@@ -1,5 +1,6 @@
 import math
 import os
+import random
 import signal
 import subprocess
 import sys
@@ -60,69 +61,92 @@ def test_interval_emptiness():
 
 
 def test_scaled_union_single_interval_gaps():
-    summary = scaled_union([HalfOpenInterval(38, 44)], horizon=200)
+    summary = scaled_union([HalfOpenInterval(38, 44)])
     expected = (
         list(range(1, 38))
         + list(range(44, 76))
         + list(range(88, 114))
         + list(range(132, 152))
         + list(range(176, 190))
+        + list(range(220, 228))
+        + list(range(264, 266))
     )
     assert list(summary.gaps) == expected
     assert summary.ray_start == 38 * math.ceil(Fraction(38, 6))
-    assert summary.ray_start == 266
+    assert summary.ray_start == summary.horizon == 266
 
 
 def test_scaled_union_empty_interval():
-    summary = scaled_union([HalfOpenInterval(2, 2)], horizon=25)
-    assert summary.ray_start is None
-    assert summary.gaps == tuple(range(1, 26))
+    # every integer would be a gap, so there is no finite answer
+    with pytest.raises(ValueError, match="every interval is empty"):
+        scaled_union([HalfOpenInterval(2, 2)])
+    with pytest.raises(ValueError, match="every interval is empty"):
+        scaled_union([HalfOpenInterval(3, 2), HalfOpenInterval(Fraction(5, 2), 2)])
 
 
 def test_scaled_union_validation():
     with pytest.raises(ValueError):
-        scaled_union([HalfOpenInterval(0, 3)], horizon=10)
+        scaled_union([HalfOpenInterval(0, 3)])
     with pytest.raises(ValueError):
-        scaled_union([HalfOpenInterval(-1, -2)], horizon=10)
+        scaled_union([HalfOpenInterval(-1, -2)])
     with pytest.raises(ValueError):
-        scaled_union([HalfOpenInterval(1, 2)], horizon=0)
+        scaled_union([HalfOpenInterval(1, 2), HalfOpenInterval(-1, 2)])
 
 
-def _in_some_dilate(intervals, y, t_limit):
+def _in_some_dilate(intervals, y):
+    # t*hi <= y for every t <= floor(y/hi), so only t in [floor(y/hi), floor(y/lo)]
+    # can hold y; in_dilate decides each of them
     return any(
         in_dilate(y, iv, t)
         for iv in intervals
         if not iv.is_empty
-        for t in range(1, t_limit + 1)
+        for t in range(max(math.floor(y / iv.hi), 1), math.floor(y / iv.lo) + 1)
     )
 
 
+def _random_interval(rng):
+    lo = Fraction(rng.randint(5, 40), rng.randint(1, 3))
+    if rng.random() < 0.25:
+        return HalfOpenInterval(lo, lo - Fraction(rng.randint(0, 5), rng.randint(1, 4)))
+    return HalfOpenInterval(lo, lo + Fraction(rng.randint(1, 8), rng.randint(1, 4)))
+
+
+def _least_ray_by_search(iv):
+    # the first t whose dilate reaches the next one: t*hi >= (t+1)*lo
+    t = 1
+    while t * iv.hi < (t + 1) * iv.lo:
+        t += 1
+    return t * iv.lo
+
+
 def test_scaled_union_gap_soundness():
-    intervals = [
-        HalfOpenInterval(Fraction(29, 3), Fraction(132, 13)),
-        HalfOpenInterval(Fraction(38), Fraction(44)),
-        HalfOpenInterval(Fraction(29, 2), Fraction(44, 3)),
-        HalfOpenInterval(Fraction(5, 2), Fraction(5, 2)),
-    ]
-    # 150 lies below every ray; 300 lies past the least ray start, 580/3
-    for horizon in (150, 300):
-        summary = scaled_union(intervals, horizon=horizon)
-        for g in summary.gaps:
-            assert not _in_some_dilate(intervals, g, horizon)
-        covered = set(range(1, horizon + 1)) - set(summary.gaps)
-        for y in covered:
-            assert _in_some_dilate(intervals, y, horizon)
-        assert all(g < summary.ray_start for g in summary.gaps)
+    rng = random.Random(2020)
+    refused = 0
+    for _ in range(300):
+        intervals = [_random_interval(rng) for _ in range(rng.randint(1, 6))]
+        live = [iv for iv in intervals if not iv.is_empty]
+        if not live:
+            with pytest.raises(ValueError):
+                scaled_union(intervals)
+            refused += 1
+            continue
+        summary = scaled_union(intervals)
+        rays = [ray_start(iv) for iv in live]
+        assert rays == [_least_ray_by_search(iv) for iv in live]
+        assert summary.ray_start == min(rays)
+        assert summary.horizon == max(math.ceil(summary.ray_start), 1)
+        gaps = set(summary.gaps)
+        for y in range(1, summary.horizon + 1):
+            assert _in_some_dilate(intervals, y) == (y not in gaps), (intervals, y)
+        assert all(g < summary.ray_start for g in gaps)
+    assert 0 < refused < 30
 
 
 def test_scaled_union_ray_membership():
     iv = HalfOpenInterval(Fraction(29, 3), Fraction(132, 13))
-    summary = scaled_union([iv], horizon=40)
-    start = summary.ray_start
-    assert start is not None
-    base = math.ceil(start)
+    base = scaled_union([iv]).horizon
     for z in range(base, base + 100):
-        assert _in_some_dilate([iv], z, z)
+        assert _in_some_dilate([iv], z)
 
 
 def test_ray_start_formula():

@@ -173,6 +173,12 @@ def test_threads_do_not_change_output(no_child_left):
         assert run_cli([*argv, "--threads", "2"]) == run_cli([*argv, "--threads", "1"])
 
 
+def test_proscribe_index_out_of_range(capsys):
+    for index in ("-1", "2"):
+        assert cli.main(["proscribe", "--tuple", "3,5", "--index", index, "--multiplier", "1"]) == 2
+        assert capsys.readouterr() == ("", "error: index must lie in [0, 1]\n")
+
+
 def test_invalid_inputs_exit_two():
     assert run_cli(["asym", "--tuple", "6,x,15"])[0] == 2
     assert run_cli(["hollow", "--alpha", "3,5,7"])[0] == 2

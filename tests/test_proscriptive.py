@@ -49,6 +49,10 @@ def test_datum_validation():
         proscriptive_datum((29,), 0, 1)
     with pytest.raises(ValueError):
         proscriptive_datum((29, 38), 0, 0)
+    # a negative index would silently pick an entry from the end
+    for i in (-1, 2):
+        with pytest.raises(ValueError, match=r"^index must lie in \[0, 1\]$"):
+            proscriptive_datum((3, 5), i, 1)
 
 
 def test_g_row_identity():
@@ -178,7 +182,7 @@ def test_worked_extension_narrative():
     then cuts to {2, 3, 10, 11, 49}, and the dilates of [29/3, 132/13)
     remove 10 (t = 1) and 49 (t = 5), leaving exactly {2, 3, 11}.
     """
-    step1 = scaled_union([HalfOpenInterval(38, 44)], horizon=100)
+    step1 = scaled_union([HalfOpenInterval(38, 44)])
     survivors = [y for y in step1.gaps if y >= 2 and rem_pos(38, y) <= 11]
     assert survivors == list(range(2, 12)) + list(range(44, 50))
 
