@@ -8,16 +8,16 @@ reduce to an exact integer scan over k. That scan is the ground-truth oracle
 for everything else in the package. It walks stretches of k on which the
 charges of the entries with small residues are linear: O(n) per stretch, at
 most sum(min(s, d - s)) + 1 stretches over those entries' residues s, plus
-O(n) per height on each stretch's half-line of candidates.
+O(n) per height on each stretch's half-line of candidates. The hollowness of
+(a; N) at many N for one small tuple comes instead from a cell table built
+once per tuple (`_hollow_by_n`), which the tests check against the scan.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import combinations, repeat
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional
-
-from .arith import content, subset_sums
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -63,7 +63,7 @@ class _SimplexSpec(NamedTuple):
     @property
     def is_normalized(self) -> bool:
         """True when 1 <= a(i) < d for all i and the full row has content 1."""
-        return all(1 <= v < self.d for v in self.a) and content(self.row) == 1
+        return all(1 <= v < self.d for v in self.a) and math.gcd(*self.row) == 1
 
     def normalized(self) -> "SimplexSpec":
         """Reduce entries mod d and drop zeros. Never applied implicitly;
@@ -192,6 +192,48 @@ def _heights(spec: SimplexSpec, interior: bool) -> Iterator[int]:
         start = end
 
 
+def _hollow_by_n(a: Sequence[int], big_ns: Iterable[int]) -> Iterator[bool]:
+    """Whether the simplex of (a; N) is hollow, for each N of big_ns in turn.
+
+    With S = sum(a), the point at height k in [1, N-1] is interior iff no
+    k*a(i) is divisible by N and N*(sum of ceil(k*a(i)/N) - 1) < k*(S - 1):
+    `_heights`'s test after clearing d. Cut (0, 1) at the fractions j/a(i),
+    0 < j < a(i). On each open cell (lo, hi) every ceil(x*a(i)) is a
+    constant c(i) and no residue vanishes, and the right side grows with k,
+    so the cell's largest height k = ceil(hi*N) - 1 decides the cell. A cell
+    with sum(c) - 1 >= hi*(S - 1) fails at every N and is dropped from the
+    table. When k <= lo*N the cell holds no height, but k needs no check:
+    at a breakpoint the test fails (some c(i) = k*a(i)/N + 1 there), and in
+    an earlier cell, whose sum(c) is no larger, passing makes k interior.
+    Breakpoints are the exact integers j*(lcm(a)/a(i)) on the scale lcm(a),
+    merged lazily.
+
+    The table is built once, in O(sum(a) log n) time and O(kept cells)
+    memory, and each N costs O(kept cells). `_heights` stays the scan for
+    one (a, d): its stretches need no cell per unit of an entry near d.
+    """
+    from heapq import merge
+
+    scale = math.lcm(*a)
+    excess = sum(a) - 1
+    cells = []  # (hi on the scale, sum(c) - 1) of each kept cell
+    lo, charge = 0, len(a) - 1
+    steps = [scale // ai for ai in a]
+    for hi in merge(*(range(step, scale, step) for step in steps), (scale,)):
+        if hi > lo:
+            if scale * charge < hi * excess:
+                cells.append((hi, charge))
+            lo = hi
+        charge += 1
+    for n in big_ns:
+        for hi, charge in cells:
+            if n * charge < (hi * n - 1) // scale * excess:
+                yield False
+                break
+        else:
+            yield True
+
+
 def _reports(spec: SimplexSpec, heights: Iterable[int]) -> tuple[LatticePointReport, ...]:
     """The unique non-extreme lattice point at each height, which must carry one.
 
@@ -263,9 +305,11 @@ def empty_sufficient(spec: SimplexSpec) -> Optional[str]:
     the scan stops at the first subset that brings it to 1; when none does,
     it still visits all 2^m - 1 subsets.
     """
+    from .arith import subset_sums
+
     full = spec.row
     for i, ai in enumerate(spec.a):
-        if ai == 1 and content(full[:i] + full[i + 1:]) == 1:
+        if ai == 1 and math.gcd(*full[:i], *full[i + 1:]) == 1:
             return UNIT_ENTRY
     g = spec.d
     for positions, total in subset_sums(spec.a):
@@ -355,6 +399,8 @@ def width_one(spec: SimplexSpec) -> Optional[tuple[int, ...]]:
     """
     if spec.d <= 1:
         raise ValueError("width-one test requires d > 1")
+    from .arith import subset_sums
+
     for positions, total in subset_sums(spec.a):
         if total % spec.d in (0, 1):
             return positions

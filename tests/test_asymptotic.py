@@ -13,7 +13,7 @@ from hollowsimplex.asymptotic import (
     sample_tuples,
     stability_thresholds,
 )
-from hollowsimplex.simplex import SimplexSpec, is_hollow
+from hollowsimplex.simplex import SimplexSpec, _hollow_by_n, is_hollow
 
 
 def test_criterion_inequality_examples():
@@ -104,25 +104,64 @@ STABILIZATION_EDGE_CASES = (
     (2, 4, 7), (2, 7, 13), (3, 3, 4), (3, 4, 5), (4, 5, 7),
 )
 
+QUADRUPLE_EDGE_CASES = (
+    (2, 2, 2, 2), (2, 2, 2, 7), (2, 2, 5, 5), (2, 3, 3, 3), (2, 3, 7, 7),
+    (2, 4, 7, 7), (2, 5, 5, 8), (3, 3, 4, 4), (3, 3, 6, 7), (3, 4, 5, 5),
+    (4, 4, 4, 5), (4, 5, 5, 6), (4, 5, 7, 7), (4, 6, 6, 7), (5, 5, 6, 7),
+    (5, 6, 7, 8),
+)
 
-def test_stabilization_edge_cases_are_pinned():
-    # every triple in [2, 13], every N in (C, robust point + 60]: the k-scan
-    # and the criterion disagree only on these ten triples, only at multiples
-    # of the largest entry, and never past the robust point
-    disagreeing = {}
-    for a in combinations_with_replacement(range(2, 14), 3):
+
+def _walk(a, ns):
+    return (is_hollow(SimplexSpec(a, n)) for n in ns)
+
+
+def _disagreements_past_c(tuples, hollow_by_n):
+    """{a: (criterion, the N in (C, robust point + 60] where the exact
+    verdict differs from it, robust point)} over the tuples that disagree."""
+    out = {}
+    for a in tuples:
         expected = is_asymptotically_hollow(a)
         robust = robust_stability_point(a)
-        start = stability_thresholds(a).C + 1
-        bad = [n for n in range(start, robust + 61)
-               if is_hollow(SimplexSpec(a, n)) != expected]
+        ns = range(stability_thresholds(a).C + 1, robust + 61)
+        bad = [n for n, hollow in zip(ns, hollow_by_n(a, ns)) if hollow != expected]
         if bad:
-            disagreeing[a] = (expected, bad, robust)
-    assert sorted(disagreeing) == list(STABILIZATION_EDGE_CASES)
+            out[a] = (expected, bad, robust)
+    return out
+
+
+def _assert_only_divisible_edge_cases(disagreeing):
+    # never asymptotically hollow, only at multiples of the largest entry,
+    # and the last disagreement is the robust point itself
     for a, (expected, bad, robust) in disagreeing.items():
         assert not expected, a
         assert all(n % max(a) == 0 for n in bad), a
         assert bad[-1] == robust, a
+
+
+def test_stabilization_edge_cases_are_pinned():
+    # every triple in [2, 13], every N in (C, robust point + 60]: the k-scan
+    # and the criterion disagree only on these ten triples, and the cell
+    # table, a second exact oracle, finds the very same disagreements
+    triples = list(combinations_with_replacement(range(2, 14), 3))
+    disagreeing = _disagreements_past_c(triples, _walk)
+    assert _disagreements_past_c(triples, _hollow_by_n) == disagreeing
+    assert sorted(disagreeing) == list(STABILIZATION_EDGE_CASES)
+    assert disagreeing[(3, 4, 5)][1] == [45, 50, 55]
+    _assert_only_divisible_edge_cases(disagreeing)
+
+
+def test_quadruple_stabilization_is_pinned():
+    # every quadruple in [2, 14] (1820 tuples), every N in (C, robust point
+    # + 60], decided by the cell table; in [2, 8] by the k-scan as well
+    quadruples = list(combinations_with_replacement(range(2, 15), 4))
+    disagreeing = _disagreements_past_c(quadruples, _hollow_by_n)
+    assert len(disagreeing) == 67
+    _assert_only_divisible_edge_cases(disagreeing)
+    small = [a for a in quadruples if a[-1] <= 8]
+    walked = _disagreements_past_c(small, _walk)
+    assert sorted(walked) == list(QUADRUPLE_EDGE_CASES)
+    assert walked == {a: v for a, v in disagreeing.items() if a[-1] <= 8}
 
 
 def test_pairs_never_nontrivially_hollow():

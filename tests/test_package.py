@@ -48,6 +48,7 @@ def test_launch_loads_no_compute_module():
     (["family", "--n", "8"], "classify", ("simplex", "proscriptive")),
     (["asym", "--tuple", "6,10,15"], "asymptotic", ("simplex",)),
     (["agree", "--count", "3", "--window", "2"], "simplex", ("proscriptive",)),
+    (["hollow", "--alpha", "3,5,7:30"], "simplex", ("arith",)),
 ])
 def test_subcommand_loads_only_what_it_runs(argv, used, unused):
     loaded = _loaded_after(

@@ -7,6 +7,7 @@ from itertools import chain, combinations_with_replacement, product
 import pytest
 
 from hollowsimplex import simplex
+from hollowsimplex.asymptotic import robust_stability_point, sample_tuples
 from hollowsimplex.simplex import (
     FACET_BOUNDARY,
     GCD_UNION,
@@ -16,6 +17,7 @@ from hollowsimplex.simplex import (
     SimplexSpec,
     _STRETCH_COST_RATIO,
     _heights,
+    _hollow_by_n,
     empty_sufficient,
     enumerate_non_extreme_points,
     facet_cotorsion,
@@ -127,6 +129,30 @@ def test_stretch_walk_matches_per_height_scan(monkeypatch, ratio):
             assert list(_heights(spec, interior)) == heights_by_scan(spec, interior), (
                 spec, interior,
             )
+
+
+def test_cell_table_matches_stretch_walk():
+    # every tuple of length 2-4 with entries in [1, 8] and every N in
+    # [1, 120], entries >= N and N = 1 included: 58,320 verdicts
+    ns = range(1, 121)
+    for length in (2, 3, 4):
+        for a in combinations_with_replacement(range(1, 9), length):
+            walked = [is_hollow(SimplexSpec(a, n)) for n in ns]
+            assert list(_hollow_by_n(a, ns)) == walked, a
+    # the table cuts at the breakpoints in any entry order
+    assert list(_hollow_by_n((7, 2, 5), ns)) == list(_hollow_by_n((2, 5, 7), ns))
+
+
+@pytest.mark.parametrize("length, high, seed", [
+    (3, 20, 501065), (4, 16, 240279), (5, 14, 998691),
+])
+def test_cell_table_matches_stretch_walk_on_sweep_windows(length, high, seed):
+    # the windows `agree` sweeps: 40 N past the robust stabilization point
+    for a in sample_tuples(100, lengths=(length,), high=high, seed=seed):
+        start = robust_stability_point(a)
+        ns = range(start + 1, start + 41)
+        walked = [is_hollow(SimplexSpec(a, n)) for n in ns]
+        assert list(_hollow_by_n(a, ns)) == walked, a
 
 
 def test_hollow_examples():
