@@ -3,9 +3,10 @@
 Everything downstream leans on a few kernels: the shifted remainder that
 lands in {1, ..., x} instead of {0, ..., x-1} and its sums, gcd content,
 subset sums, half-open rational intervals, and unions of all positive
-integer dilates of such intervals. Endpoints are `fractions.Fraction`; no
-float ever enters a comparison. `fractions` is imported where an interval
-or a ray start is built, so callers of the integer kernels alone never load it.
+integer dilates of such intervals. No float ever enters a comparison. The
+dilate kernel `dilate_gaps` takes the integer bounds (p, q, u, v) of [p/q, u/v);
+`HalfOpenInterval`, `ray_start` and `scaled_union` are its `fractions.Fraction`
+boundary, which callers of the integer kernels alone never load.
 """
 
 from __future__ import annotations
@@ -158,6 +159,28 @@ class HalfOpenInterval(_HalfOpenInterval):
         return super().__new__(cls, Fraction(lo), Fraction(hi))
 
 
+def _ray(p: int, q: int, u: int, v: int) -> int:
+    """Numerator t0*p of the ray start t0*p/q of a nonempty [p/q, u/v), p > 0."""
+    return -(-p * v // (u * q - p * v)) * p
+
+
+def dilate_gaps(bounds: Sequence[tuple[int, ...]]) -> tuple[tuple[int, int], tuple[int, ...]]:
+    """`scaled_union` on the integer bounds (p, q, u, v) of nonempty [p/q, u/v).
+
+    Bounds need not be reduced; p, q, v > 0. Returns the least ray start as
+    the exact pair (t0*p, q), rays compared by cross-multiplication, and the
+    gaps in [1, ceil(ray start)]: each interval filters what the last left.
+    """
+    num, den = _ray(*bounds[0]), bounds[0][1]
+    for p, q, u, v in bounds:
+        if (ray := _ray(p, q, u, v)) * den < num * q:
+            num, den = ray, q
+    gaps = range(1, -(-num // den) + 1)
+    for p, q, u, v in bounds:
+        gaps = [y for y in gaps if not y * v < y * q // p * u]
+    return (num, den), tuple(gaps)
+
+
 def ray_start(iv: HalfOpenInterval) -> Fraction:
     """Start of the infinite ray covered by the dilates of a nonempty interval.
 
@@ -170,12 +193,11 @@ def ray_start(iv: HalfOpenInterval) -> Fraction:
 
     p, q = iv.lo.as_integer_ratio()
     u, v = iv.hi.as_integer_ratio()
-    width = u * q - p * v
-    if width <= 0:
+    if u * q - p * v <= 0:
         raise ValueError("empty interval covers no ray")
     if p <= 0:
         raise ValueError("interval must have positive lower endpoint")
-    return Fraction(-(-p * v // width) * p, q)
+    return Fraction(_ray(p, q, u, v), q)
 
 
 class RaySummary(NamedTuple):
@@ -204,12 +226,15 @@ def scaled_union(intervals: Sequence[HalfOpenInterval]) -> RaySummary:
     for iv in intervals:
         if iv.lo <= 0:
             raise ValueError(f"interval {iv} must have positive lower endpoint")
-    live = [iv for iv in intervals if not iv.is_empty]
-    if not live:
+    bounds = [(*iv.lo.as_integer_ratio(), *iv.hi.as_integer_ratio())
+              for iv in intervals if not iv.is_empty]
+    if not bounds:
         raise ValueError("every interval is empty, so every positive integer is a gap")
-    ray = min(ray_start(iv) for iv in live)
-    horizon = math.ceil(ray)
-    bounds = [(*iv.lo.as_integer_ratio(), *iv.hi.as_integer_ratio()) for iv in live]
-    gaps = tuple(y for y in range(1, horizon + 1)
-                 if not any(y * v < y * q // p * u for p, q, u, v in bounds))
-    return RaySummary(ray_start=ray, gaps=gaps, horizon=horizon)
+    return _ray_summary(*dilate_gaps(bounds))
+
+
+def _ray_summary(ray: tuple[int, int], gaps: tuple[int, ...]) -> RaySummary:
+    """The record of `dilate_gaps`' (ray, gaps): its one `Fraction`, and the horizon."""
+    from fractions import Fraction
+
+    return RaySummary(ray_start=Fraction(*ray), gaps=gaps, horizon=-(-ray[0] // ray[1]))

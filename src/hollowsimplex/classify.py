@@ -55,17 +55,14 @@ class TripleSet(NamedTuple):
 
 def _search_prefix(args: tuple[int, int, int]) -> list[Triple]:
     # Imported on use: the doubling family never needs the extension search.
-    from .proscriptive import candidate_extensions
+    from .proscriptive import extension_search
 
     a, x, x_max = args
-    report = candidate_extensions((a, x))
-    if report.unbounded:
-        raise RuntimeError(
-            f"prefix ({a}, {x}) admits unbounded extensions; a nontrivial pair "
-            "should never be asymptotically hollow"
-        )
-    assert report.candidates is not None
-    return [(a, x, y) for y in report.candidates if x <= y <= x_max]
+    candidates = extension_search((a, x))[3]
+    if candidates is None:
+        raise RuntimeError(f"prefix ({a}, {x}) admits unbounded extensions; a nontrivial "
+                           "pair should never be asymptotically hollow")
+    return [(a, x, y) for y in candidates if x <= y <= x_max]
 
 
 def classify_triples(
@@ -87,8 +84,7 @@ def classify_triples(
     lo = max(2, min_entry)
     jobs = [(a, x, x_max) for a in range(lo, a_max + 1) for x in range(a, x_max + 1)]
     batches = parallel_map(_search_prefix, jobs, threads)
-    triples = sorted({t for batch in batches for t in batch})
-    return TripleSet.from_triples(triples)
+    return TripleSet.from_triples([t for batch in batches for t in batch])
 
 
 def reference_triples(x_max: int, min_entry: int = 2) -> TripleSet:

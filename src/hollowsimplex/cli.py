@@ -24,20 +24,8 @@ from types import SimpleNamespace
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Optional, Sequence
 
 if TYPE_CHECKING:
-    from fractions import Fraction
-
-    from .arith import HalfOpenInterval
     from .proscriptive import ProscriptiveDatum
     from .simplex import LatticePointReport
-
-
-def _frac(value: Fraction) -> str:
-    num, den = value.as_integer_ratio()
-    return str(num) if den == 1 else f"{num}/{den}"
-
-
-def _interval_doc(iv: HalfOpenInterval) -> dict[str, Any]:
-    return {"lo": _frac(iv.lo), "hi": _frac(iv.hi), "text": str(iv)}
 
 
 def parse_tuple(text: str) -> tuple[int, ...]:
@@ -61,21 +49,15 @@ def _point_doc(p: LatticePointReport) -> dict[str, Any]:
         "k": p.k,
         "coords": list(p.coords),
         "location": p.location,
-        "lambda_sum": _frac(p.lambda_sum),
+        "lambda_sum": str(p.lambda_sum),
     }
 
 
 def _datum_doc(d: ProscriptiveDatum) -> dict[str, Any]:
-    return {
-        "index": d.index,
-        "entry": d.entry,
-        "m": d.m,
-        "g_row": list(d.g_row),
-        "f": d.f,
-        "denom": d.denom,
-        "interval": _interval_doc(d.interval),
-        "trivial": d.trivial,
-    }
+    # the fields in order, then trivial; a replaced value keeps its place
+    iv = d.interval
+    interval = {"lo": str(iv.lo), "hi": str(iv.hi), "text": str(iv)}
+    return {**d._asdict(), "g_row": list(d.g_row), "interval": interval, "trivial": d.trivial}
 
 
 def _cmd_hollow(args: SimpleNamespace) -> tuple[dict, dict, Optional[bool]]:
@@ -201,7 +183,7 @@ def _cmd_extend(args: SimpleNamespace) -> tuple[dict, dict, Optional[bool]]:
         "unbounded": report.unbounded,
         "data": [_datum_doc(d) for d in report.data],
         "horizon": report.horizon,
-        "ray_start": None if union is None else _frac(union.ray_start),
+        "ray_start": None if union is None else str(union.ray_start),
         "candidates": None if candidates is None else list(candidates),
     }
     return {"tuple": tuple_str(b)}, payload, None

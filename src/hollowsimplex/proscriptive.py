@@ -7,14 +7,17 @@ integer dilates are all forbidden to y. Only finitely many (i, m) give a
 nonempty interval, and each nonempty interval's dilates swallow an infinite
 ray, so the surviving y form a finite, explicitly computable set which the
 full criterion then filters.
+
+The search runs on integers: datum (i, m) is a row (i, m, g_row, f, denom),
+trivial when s*m <= a(i)*denom, whose interval has the bounds (a(i), m, s,
+denom) of `arith.dilate_gaps`; `fractions` loads only where a record is built.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from .arith import HalfOpenInterval, RaySummary, remainder_sum, scaled_union
+from .arith import HalfOpenInterval, RaySummary, _ray_summary, dilate_gaps
 from .asymptotic import ascending, is_asymptotically_hollow
 
 
@@ -52,23 +55,35 @@ def _validate_prefix(b: Sequence[int]) -> tuple[int, ...]:
     return b
 
 
+def _row(b: tuple[int, ...], i: int, m: int) -> tuple:
+    """The (i, m, g_row, f, denom) row of datum (i, m) of b; n - 3 = len(b) - 1."""
+    g_row = tuple((m * aj - 1) // b[i] for aj in b)
+    f = sum(g_row)
+    return i, m, g_row, f, len(b) - 1 + f
+
+
+def _nontrivial_rows(b: tuple[int, ...]) -> list[tuple]:
+    s = sum(b) - 1
+    return [row for i, ai in enumerate(b) for m in range(1, ai)
+            if s * m > ai * (row := _row(b, i, m))[4]]
+
+
+def _datum(b: tuple[int, ...], row: tuple) -> ProscriptiveDatum:
+    from fractions import Fraction
+
+    i, m, _, _, denom = row
+    iv = HalfOpenInterval(Fraction(b[i], m), Fraction(sum(b) - 1, denom))
+    return ProscriptiveDatum(i, b[i], *row[1:], iv)
+
+
 def proscriptive_datum(b: Sequence[int], i: int, m: int) -> ProscriptiveDatum:
     """The (i, m) datum of prefix b; i is 0-based and m any positive integer."""
     b = _validate_prefix(b)
-    n = len(b) + 2
     if not 0 <= i < len(b):
         raise ValueError(f"index must lie in [0, {len(b) - 1}]")
     if m < 1:
         raise ValueError(f"multiplier must be positive, got {m}")
-    ai = b[i]
-    s = sum(b) - 1
-    g_row = tuple((m * aj - 1) // ai for aj in b)
-    f = sum(g_row)
-    denom = n - 3 + f
-    iv = HalfOpenInterval(Fraction(ai, m), Fraction(s, denom))
-    return ProscriptiveDatum(
-        index=i, entry=ai, m=m, g_row=g_row, f=f, denom=denom, interval=iv
-    )
+    return _datum(b, _row(b, i, m))
 
 
 def nontrivial_data(b: Sequence[int]) -> tuple[ProscriptiveDatum, ...]:
@@ -79,14 +94,23 @@ def nontrivial_data(b: Sequence[int]) -> tuple[ProscriptiveDatum, ...]:
     (s*m <= a(i)*denom rearranged) decides triviality before any interval.
     """
     b = _validate_prefix(b)
-    n = len(b) + 2
-    out = []
-    for i, ai in enumerate(b):
-        others = b[:i] + b[i + 1:]
-        for m in range(1, ai):
-            if remainder_sum(ai, others, m) > m + (n - 4) * ai:
-                out.append(proscriptive_datum(b, i, m))
-    return tuple(out)
+    return tuple(_datum(b, row) for row in _nontrivial_rows(b))
+
+
+def extension_search(b: tuple[int, ...]) -> tuple:
+    """(rows, ray, gaps, candidates) of a tuple b of positive entries.
+
+    rows: the nontrivial data; ray and gaps: `arith.dilate_gaps` of their
+    bounds; candidates: the gaps y >= 2 with (b, y) asymptotically hollow.
+    All but rows are None when no datum is nontrivial (b itself is hollow).
+    """
+    rows = _nontrivial_rows(b)
+    if not rows:
+        return rows, None, None, None
+    s = sum(b) - 1
+    ray, gaps = dilate_gaps([(b[i], m, s, denom) for i, m, _, _, denom in rows])
+    hollow = [y for y in gaps if y >= 2 and is_asymptotically_hollow(sorted(b + (y,)))]
+    return rows, ray, gaps, tuple(hollow)
 
 
 class PrefixReport(NamedTuple):
@@ -117,24 +141,9 @@ def candidate_extensions(b: Sequence[int]) -> PrefixReport:
     interval and is proscribed, so no candidate is missed.
     """
     b = ascending(b)
-    s = sum(b) - 1
-    data = nontrivial_data(b)
-    if not data:
-        return PrefixReport(
-            b=b, s=s, data=(), unbounded=True, horizon=None, union=None, candidates=None
-        )
-    union = scaled_union([d.interval for d in data])
-    candidates = tuple(
-        y
-        for y in union.gaps
-        if y >= 2 and is_asymptotically_hollow(sorted(b + (y,)))
-    )
+    rows, ray, gaps, candidates = extension_search(b)
+    union = None if ray is None else _ray_summary(ray, gaps)
     return PrefixReport(
-        b=b,
-        s=s,
-        data=data,
-        unbounded=False,
-        horizon=union.horizon,
-        union=union,
-        candidates=candidates,
+        b=b, s=sum(b) - 1, data=tuple(_datum(b, row) for row in rows), unbounded=union is None,
+        horizon=None if union is None else union.horizon, union=union, candidates=candidates,
     )

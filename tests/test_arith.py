@@ -13,6 +13,7 @@ import hollowsimplex
 from hollowsimplex.arith import (
     HalfOpenInterval,
     content,
+    dilate_gaps,
     parallel_map,
     ray_start,
     rem_pos,
@@ -147,6 +148,26 @@ def test_scaled_union_ray_membership():
     base = scaled_union([iv]).horizon
     for z in range(base, base + 100):
         assert _in_some_dilate([iv], z)
+
+
+def test_dilate_gaps_takes_unreduced_bounds():
+    # the kernel behind scaled_union, on bounds scaled by arbitrary factors
+    rng = random.Random(15)
+    for _ in range(200):
+        live = [iv for iv in (_random_interval(rng) for _ in range(rng.randint(1, 6)))
+                if not iv.is_empty]
+        if not live:
+            continue
+        bounds = []
+        for iv in live:
+            c, e = rng.randint(1, 5), rng.randint(1, 5)
+            bounds.append((c * iv.lo.numerator, c * iv.lo.denominator,
+                           e * iv.hi.numerator, e * iv.hi.denominator))
+        (num, den), gaps = dilate_gaps(bounds)
+        summary = scaled_union(live)
+        assert Fraction(num, den) == summary.ray_start and gaps == summary.gaps
+        # the exact pair (t0*p, q) of one of the bounds, as given
+        assert any(den == q and num % p == 0 for p, q, _, _ in bounds)
 
 
 def test_ray_start_formula():

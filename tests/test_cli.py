@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import io
 import json
 import os
@@ -300,6 +301,25 @@ def test_byte_identical_reruns():
         first = run_cli(list(argv))
         second = run_cli(list(argv))
         assert first == second
+
+
+def _golden_outputs():
+    """(sha256, argv) rows of extension_outputs.sha256: the extend and proscribe
+    documents recorded from the rational implementation of the proscriptive
+    layer, which the integer kernel must reproduce byte for byte."""
+    path = os.path.join(os.path.dirname(__file__), "extension_outputs.sha256")
+    with open(path) as fh:
+        return [tuple(line.rstrip("\n").split("  ", 1)) for line in fh if line.strip()]
+
+
+_GOLDEN = _golden_outputs()
+
+
+@pytest.mark.parametrize("digest, argv", _GOLDEN, ids=[argv for _, argv in _GOLDEN])
+def test_extension_outputs_match_recorded_bytes(digest, argv):
+    code, out = run_cli(argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_round_trip_tuple_and_spec():

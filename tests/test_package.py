@@ -74,6 +74,11 @@ def test_subcommand_loads_only_what_it_runs(argv, used, unused):
     (["facets", "--alpha", "3,5,7:30"], False),
     (["hollow", "--alpha", "3,5,7:30"], False),  # a hollow verdict has no witness
     (["points", "--alpha", "2,3:12"], True),
+    # the extension search runs on integers; only the records extend and
+    # proscribe print hold rationals
+    (["classify", "--a-max", "6", "--x-max", "15", "--check"], False),
+    (["extend", "--tuple", "29,38,66"], True),
+    (["proscribe", "--tuple", "29,38,66"], True),
 ])
 def test_fractions_load_only_where_a_rational_is_built(argv, builds_rationals):
     loaded = _loaded_after(

@@ -69,16 +69,17 @@ def test_g_row_identity():
 
 
 def test_triviality_equivalence_both_ways():
-    for b in combinations_with_replacement(range(1, 13), 2):
+    prefixes = [*combinations_with_replacement(range(1, 13), 2),
+                *combinations_with_replacement(range(2, 9), 3)]
+    for b in prefixes:
         for i, ai in enumerate(b):
             for m in range(1, max(ai, 2)):
                 datum = proscriptive_datum(b, i, m)
                 assert datum.trivial == datum_is_trivial_by_remainders(b, i, m), (b, i, m)
-    for b in combinations_with_replacement(range(2, 9), 3):
-        for i, ai in enumerate(b):
-            for m in range(1, ai):
-                datum = proscriptive_datum(b, i, m)
-                assert datum.trivial == datum_is_trivial_by_remainders(b, i, m), (b, i, m)
+        # nontrivial_data decides by s*m > a(i)*denom, never by the remainder sum
+        expected = [(i, m) for i, ai in enumerate(b) for m in range(1, ai)
+                    if not datum_is_trivial_by_remainders(b, i, m)]
+        assert [(d.index, d.m) for d in nontrivial_data(b)] == expected, b
 
 
 def test_multiplier_cap():
@@ -157,6 +158,23 @@ def test_candidates_stay_below_every_interval_ray():
         least_ray = min(ray_start(d.interval) for d in report.data)
         assert report.candidates
         assert max(report.candidates) < least_ray
+
+
+def test_classify_search_path_matches_the_report_on_a_grid():
+    # the integer path classify runs, against the records extend prints and
+    # the rational ray starts of their intervals
+    from hollowsimplex.arith import ray_start
+    from hollowsimplex.proscriptive import extension_search
+
+    for a in range(2, 13):
+        for x in range(a, 80):
+            report = candidate_extensions((a, x))
+            rows, ray, gaps, candidates = extension_search((a, x))
+            assert candidates == report.candidates, (a, x)
+            assert [(d.index, d.m) for d in report.data] == [row[:2] for row in rows]
+            assert Fraction(*ray) == report.union.ray_start and gaps == report.union.gaps
+            least = min(ray_start(d.interval) for d in report.data)
+            assert report.horizon == math.ceil(least), (a, x)
 
 
 def test_proscription_soundness():
