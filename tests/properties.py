@@ -1,8 +1,9 @@
-"""Property sweeps shared between the unit tests and the acceptance suite.
+"""Property sweeps, each run once by `test_acceptance_8_property_suites`.
 
-Each helper returns a list of counterexamples; passing means empty. Domains
-are pinned here so the acceptance suite and the per-module tests exercise
-exactly the same ground.
+Each helper returns a list of counterexamples; passing means empty. The
+expected values come from `bench/oracle.py`, never from the kernel under
+check; the facet sweep keeps the package's minors-gcd cross-check, and the
+reflection and width sweeps check the package's own answers.
 """
 
 from __future__ import annotations
@@ -11,20 +12,24 @@ import math
 import random
 from itertools import combinations_with_replacement
 
-from conftest import reference_witness
-from hollowsimplex import arith, asymptotic, proscriptive, residues, simplex
+import oracle
+from hollowsimplex import asymptotic, proscriptive, residues, simplex
 
 
 def witness_reference_counterexamples():
-    """The package's witness against the full-range, shortcut-free reference,
-    field by field, on every tuple with entries in [1, 30] and length 2 to 4
-    (46,345 tuples, entries of 1 included)."""
+    """The package's witness against the oracle's least failure over the full,
+    shortcut-free range, all five fields, on every tuple with entries in
+    [1, 30] and length 2 to 4 (46,345 tuples, entries of 1 included)."""
     bad = []
     for length in (2, 3, 4):
         for a in combinations_with_replacement(range(1, 31), length):
             got = asymptotic.criterion_witness(a)
-            if got != reference_witness(a):
-                bad.append((a, got))
+            want = next(oracle.failures(a), None)
+            if want is not None:
+                i, t = want
+                want = (i, a[i], t, *oracle.criterion_sides(a, i, t))
+            if got != want:
+                bad.append((a, got, want))
     return bad
 
 
@@ -34,14 +39,13 @@ def shortcut_soundness_counterexamples():
     entries in [1, 12]."""
     bad = []
     for length in (3, 4):
-        n = length + 1
         for a in combinations_with_replacement(range(1, 13), length):
             for i, ai in enumerate(a):
-                others = a[:i] + a[i + 1:]
-                if not asymptotic._residue_one(others, ai):
+                if not asymptotic._residue_one(a[:i] + a[i + 1:], ai):
                     continue
                 for t in range(1, ai):
-                    if arith.remainder_sum(ai, others, t) > t + (n - 3) * ai:
+                    lhs, rhs = oracle.criterion_sides(a, i, t)
+                    if lhs > rhs:
                         bad.append((a, i, t))
     return bad
 
@@ -50,14 +54,15 @@ PROSCRIPTION_PREFIXES = ((2, 2), (2, 3), (2, 4), (3, 5), (2, 5, 11), (3, 4, 9), 
 
 
 def proscription_soundness_counterexamples(t_max: int = 40):
-    """Integers inside any dilated proscriptive interval must fail the criterion."""
+    """Integers inside any dilated proscriptive interval fail the oracle's
+    full-range criterion."""
     bad = []
     for b in PROSCRIPTION_PREFIXES:
         for datum in proscriptive.nontrivial_data(b):
             iv = datum.interval
             for t in range(1, t_max + 1):
                 for y in range(max(1, math.ceil(t * iv.lo)), math.ceil(t * iv.hi)):
-                    if asymptotic.is_asymptotically_hollow(sorted(b + (y,))):
+                    if oracle.asymptotically_hollow(b + (y,)):
                         bad.append((b, datum.entry, datum.m, t, y))
     return bad
 
@@ -108,12 +113,7 @@ def neighbor_inequality_counterexamples():
                 if c % d != (b + 1) % d:
                     continue
                 for t in range(1, (d - 1) // 2 + 1):
-                    lhs = (
-                        arith.rem_pos(d, 2 * t)
-                        + arith.rem_pos(d, b * t)
-                        + arith.rem_pos(d, c * t)
-                    )
-                    if lhs > t + 2 * d:
+                    if sum(oracle.rem(d, v * t) for v in (2, b, c)) > t + 2 * d:
                         bad.append((b, c, d, t))
     return bad
 

@@ -10,7 +10,8 @@ import math
 import time
 from fractions import Fraction
 
-from conftest import box_lattice_points, run_cli
+import oracle
+from conftest import run_cli
 
 from hollowsimplex.asymptotic import (
     is_asymptotically_hollow,
@@ -21,7 +22,6 @@ from hollowsimplex.classify import (
     classify_triples,
     doubling_family,
     family_identities,
-    reference_triples,
 )
 from hollowsimplex.residues import bounded_remainder_set, closed_form_members
 from hollowsimplex.simplex import SimplexSpec, is_empty, is_hollow
@@ -35,11 +35,11 @@ def _report(num: int, name: str, ok: bool, started: float, detail: str = "") -> 
 
 
 def test_acceptance_1_classification():
-    """Box (a_max=10, x_max=60) reproduces the known triple list exactly."""
+    """Box (a_max=10, x_max=60) reproduces the paper's triple list exactly."""
     started = time.time()
     got = classify_triples(10, 60)
-    expected = reference_triples(60)
-    ok = got.sporadic == expected.sporadic and got.family_xs == expected.family_xs
+    sporadic, family_xs = oracle.paper_triples(10, 60)
+    ok = list(got.sporadic) == sporadic and list(got.family_xs) == family_xs
     detail = f"sporadic={len(got.sporadic)} family_xs={len(got.family_xs)}"
     _report(1, "classification box (10, 60)", ok, started, detail)
 
@@ -165,6 +165,6 @@ def test_acceptance_oracle_spotcheck():
     started = time.time()
     ok = True
     for a, d in (((3, 4, 5), 45), ((3, 4, 5), 60), ((3, 5, 7), 30), ((2, 3), 13)):
-        interior, _ = box_lattice_points(a, d)
-        ok = ok and (len(interior) == 0) == is_hollow(SimplexSpec(a, d))
+        interior = [z for z, where in oracle.box_walk(a, d) if where == oracle.INTERIOR]
+        ok = ok and (not interior) == is_hollow(SimplexSpec(a, d))
     _report(0, "independent oracle spot check", ok, started)

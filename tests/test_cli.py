@@ -341,6 +341,24 @@ def test_csv_and_table_formats_render():
     assert "payload.asymptotically_hollow: true" in out
 
 
+# (10^4000 + 2)(10^4000 - 1) = 10^8000 + 10^4000 - 2, past the 4300-digit
+# limit on converting integers to text
+_HUGE_BOUND = "1" + "0" * 4000 + "9" * 3999 + "8"
+
+
+@pytest.mark.parametrize("fmt, line", [
+    ("json", '"M_bound": {},\n'),
+    ("csv", "payload.M_bound,{}\n"),
+    ("table", "payload.M_bound: {}\n"),
+], ids=["json", "csv", "table"])
+def test_integers_past_the_digit_limit_print_whole(fmt, line):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+    before = limit()
+    code, out = run_cli(["--format", fmt, "thresholds", "--tuple", "3,1" + "0" * 4000])
+    assert code == 0 and line.format(_HUGE_BOUND) in out
+    assert limit() == before
+
+
 def _launch(argv, stdout=subprocess.PIPE, unbuffered=False):
     """`python -m hollowsimplex argv`, with buffered stdout as in a terminal
     pipeline unless `unbuffered` sets PYTHONUNBUFFERED."""

@@ -3,9 +3,10 @@
 `import hollowsimplex` and building the CLI parser load no compute module,
 every exported name resolves to its submodule's object, and the records
 keep their fields, validation, pickling and the trip through worker
-processes.
+processes. The tests' references import no package module at load time.
 """
 
+import ast
 import copy
 import importlib
 import os
@@ -13,6 +14,7 @@ import pickle
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -89,6 +91,24 @@ def test_fractions_load_only_where_a_rational_is_built(argv, builds_rationals):
     )
     assert ("fractions" in loaded) == builds_rationals
     assert ("decimal" in loaded) == builds_rationals
+
+
+@pytest.mark.parametrize("path", ["bench/oracle.py", "tests/conftest.py"])
+def test_references_import_no_package_module(path):
+    # only what a function body runs is skipped; a module-level import of the
+    # package would let a reference share the kernel it checks
+    stack = ast.parse((Path(__file__).resolve().parent.parent / path).read_text()).body
+    imported = []
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported.append(node.module or "")
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            stack.extend(ast.iter_child_nodes(node))
+    assert imported
+    assert not [m for m in imported if m.split(".")[0] == "hollowsimplex"], path
 
 
 def test_export_table_resolves_to_submodules():

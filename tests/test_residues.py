@@ -75,12 +75,6 @@ def test_large_gcd_excludes():
                     assert z not in members, (x, r, z)
 
 
-def test_reflection():
-    from properties import reflection_counterexamples
-
-    assert reflection_counterexamples() == []
-
-
 def test_closed_form_hypothesis_is_sharp():
     # for 4 <= r <= 8 the formula holds from x = r^2 on and fails just below
     for r in range(4, 9):

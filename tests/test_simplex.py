@@ -31,7 +31,8 @@ from hollowsimplex.simplex import (
     width_upper_bound,
 )
 
-from conftest import box_lattice_points, empty_sufficient_by_full_union, heights_by_scan
+from conftest import heights_by_scan
+from oracle import box_walk, empty_reason
 
 
 def test_spec_validation_and_parse():
@@ -90,16 +91,13 @@ def test_enumeration_matches_box_oracle():
     ]
     for a, d in cases:
         spec = SimplexSpec(a, d)
+        walk = box_walk(a, d)
         pts = enumerate_non_extreme_points(spec)
-        interior_oracle, boundary_oracle = box_lattice_points(a, d)
-        got_interior = sorted(p.coords for p in pts if p.location == INTERIOR)
-        got_boundary = sorted(p.coords for p in pts if p.location == FACET_BOUNDARY)
-        assert got_interior == sorted(interior_oracle), (a, d)
-        assert got_boundary == sorted(boundary_oracle), (a, d)
+        assert [(p.coords, p.location) for p in pts] == walk, (a, d)
         hit = first_interior_point(spec)
-        least = min(interior_oracle, key=lambda z: z[-1], default=None)
+        least = next((z for z, where in walk if where == INTERIOR), None)
         assert (None if hit is None else hit.coords) == least, (a, d)
-        assert is_empty(spec) == (not interior_oracle and not boundary_oracle), (a, d)
+        assert is_empty(spec) == (not walk), (a, d)
 
 
 def _stretch_walk_specs():
@@ -200,7 +198,7 @@ def test_empty_sufficient_matches_full_union_rule():
         for a in combinations_with_replacement(range(1, 13), m):
             for d in range(1, 16):
                 spec = SimplexSpec(a, d)
-                assert empty_sufficient(spec) == empty_sufficient_by_full_union(spec), spec
+                assert empty_sufficient(spec) == empty_reason(a, d), spec
 
 
 def test_empty_sufficient_stops_at_content_one():
@@ -278,12 +276,6 @@ def test_facet_cotorsion_examples():
     assert facet_cotorsion(spec, spec.dimension) == 2
     with pytest.raises(ValueError):
         facet_cotorsion(spec, 9)
-
-
-def test_facet_formula_matches_minors_oracle():
-    from properties import facet_volume_counterexamples
-
-    assert facet_volume_counterexamples() == []
 
 
 def test_width_one_examples():
