@@ -164,18 +164,20 @@ def _ray(p: int, q: int, u: int, v: int) -> int:
     return -(-p * v // (u * q - p * v)) * p
 
 
-def dilate_gaps(bounds: Sequence[tuple[int, ...]]) -> tuple[tuple[int, int], tuple[int, ...]]:
+def dilate_gaps(bounds: Sequence[tuple[int, ...]], lo: int = 1,
+                hi: float = math.inf) -> tuple[tuple[int, int], tuple[int, ...]]:
     """`scaled_union` on the integer bounds (p, q, u, v) of nonempty [p/q, u/v).
 
     Bounds need not be reduced; p, q, v > 0. Returns the least ray start as
     the exact pair (t0*p, q), rays compared by cross-multiplication, and the
-    gaps in [1, ceil(ray start)]: each interval filters what the last left.
+    gaps in the window [lo, min(ceil(ray start), hi)], [1, ceil(ray start)]
+    by default: each interval filters what the last left.
     """
     num, den = _ray(*bounds[0]), bounds[0][1]
     for p, q, u, v in bounds:
         if (ray := _ray(p, q, u, v)) * den < num * q:
             num, den = ray, q
-    gaps = range(1, -(-num // den) + 1)
+    gaps = range(lo, min(-(-num // den), hi) + 1)
     for p, q, u, v in bounds:
         gaps = [y for y in gaps if not y * v < y * q // p * u]
     return (num, den), tuple(gaps)

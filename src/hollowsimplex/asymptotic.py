@@ -14,7 +14,6 @@ exact lattice-point decisions: one cell table per tuple in `simplex`.
 from __future__ import annotations
 
 import random
-from itertools import islice
 from typing import NamedTuple, Optional, Sequence
 
 from .arith import parallel_map, remainder_sum, subset_sums
@@ -86,7 +85,7 @@ def _residue_one(others: Sequence[int], entry: int) -> bool:
     stops after that many subsets; False only means no certificate was found.
     """
     return sum(others) % entry == 1 or any(
-        total % entry == 1 for _, total in islice(subset_sums(others), entry // 2)
+        total % entry == 1 for _, (_, total) in zip(range(entry // 2), subset_sums(others))
     )
 
 

@@ -58,11 +58,11 @@ def _search_prefix(args: tuple[int, int, int]) -> list[Triple]:
     from .proscriptive import extension_search
 
     a, x, x_max = args
-    candidates = extension_search((a, x))[3]
+    candidates = extension_search((a, x), x, x_max)[3]
     if candidates is None:
         raise RuntimeError(f"prefix ({a}, {x}) admits unbounded extensions; a nontrivial "
                            "pair should never be asymptotically hollow")
-    return [(a, x, y) for y in candidates if x <= y <= x_max]
+    return [(a, x, y) for y in candidates]
 
 
 def classify_triples(
@@ -74,10 +74,9 @@ def classify_triples(
     """All nontrivial asymptotically hollow triples with entries in the box.
 
     Scans prefixes (a, x) with min_entry <= a <= min(a_max, x) and
-    a <= x <= x_max, then keeps candidates y with x <= y <= x_max, so the
-    output is exactly the ascending triples whose largest entry stays within
-    x_max. min_entry > 2 restricts the search to large least entries (the
-    probe for how big a least entry can get).
+    a <= x <= x_max and asks the extension search for y in [x, x_max] only,
+    so the output is exactly the ascending triples whose largest entry stays
+    within x_max. min_entry > 2 probes for large least entries.
     """
     if a_max < 2 or x_max < a_max:
         raise ValueError(f"need 2 <= a_max <= x_max, got ({a_max}, {x_max})")

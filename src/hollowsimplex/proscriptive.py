@@ -8,13 +8,14 @@ nonempty interval, and each nonempty interval's dilates swallow an infinite
 ray, so the surviving y form a finite, explicitly computable set which the
 full criterion then filters.
 
-The search runs on integers: datum (i, m) is a row (i, m, g_row, f, denom),
-trivial when s*m <= a(i)*denom, whose interval has the bounds (a(i), m, s,
-denom) of `arith.dilate_gaps`; `fractions` loads only where a record is built.
+The search runs on integers: datum (i, m) is a row (i, m, denom), trivial
+when s*m <= a(i)*denom, with bounds (a(i), m, s, denom) in `arith.dilate_gaps`;
+g_row, f and `fractions` appear only in `_datum`, where a record is built.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple, Optional, Sequence
 
 from .arith import HalfOpenInterval, RaySummary, _ray_summary, dilate_gaps
@@ -55,25 +56,21 @@ def _validate_prefix(b: Sequence[int]) -> tuple[int, ...]:
     return b
 
 
-def _row(b: tuple[int, ...], i: int, m: int) -> tuple:
-    """The (i, m, g_row, f, denom) row of datum (i, m) of b; n - 3 = len(b) - 1."""
-    g_row = tuple((m * aj - 1) // b[i] for aj in b)
-    f = sum(g_row)
-    return i, m, g_row, f, len(b) - 1 + f
+def _nontrivial_rows(b: tuple[int, ...]) -> list[tuple[int, int, int]]:
+    """The (i, m, denom) rows of the nontrivial data of b; n - 3 = len(b) - 1."""
+    s, base = sum(b) - 1, len(b) - 1
+    return [(i, m, denom) for i, ai in enumerate(b) for m in range(1, ai)
+            if s * m > ai * (denom := base + sum((m * aj - 1) // ai for aj in b))]
 
 
-def _nontrivial_rows(b: tuple[int, ...]) -> list[tuple]:
-    s = sum(b) - 1
-    return [row for i, ai in enumerate(b) for m in range(1, ai)
-            if s * m > ai * (row := _row(b, i, m))[4]]
-
-
-def _datum(b: tuple[int, ...], row: tuple) -> ProscriptiveDatum:
+def _datum(b: tuple[int, ...], i: int, m: int) -> ProscriptiveDatum:
     from fractions import Fraction
 
-    i, m, _, _, denom = row
+    g_row = tuple((m * aj - 1) // b[i] for aj in b)
+    f = sum(g_row)
+    denom = len(b) - 1 + f
     iv = HalfOpenInterval(Fraction(b[i], m), Fraction(sum(b) - 1, denom))
-    return ProscriptiveDatum(i, b[i], *row[1:], iv)
+    return ProscriptiveDatum(i, b[i], m, g_row, f, denom, iv)
 
 
 def proscriptive_datum(b: Sequence[int], i: int, m: int) -> ProscriptiveDatum:
@@ -83,7 +80,7 @@ def proscriptive_datum(b: Sequence[int], i: int, m: int) -> ProscriptiveDatum:
         raise ValueError(f"index must lie in [0, {len(b) - 1}]")
     if m < 1:
         raise ValueError(f"multiplier must be positive, got {m}")
-    return _datum(b, _row(b, i, m))
+    return _datum(b, i, m)
 
 
 def nontrivial_data(b: Sequence[int]) -> tuple[ProscriptiveDatum, ...]:
@@ -94,21 +91,22 @@ def nontrivial_data(b: Sequence[int]) -> tuple[ProscriptiveDatum, ...]:
     (s*m <= a(i)*denom rearranged) decides triviality before any interval.
     """
     b = _validate_prefix(b)
-    return tuple(_datum(b, row) for row in _nontrivial_rows(b))
+    return tuple(_datum(b, i, m) for i, m, _ in _nontrivial_rows(b))
 
 
-def extension_search(b: tuple[int, ...]) -> tuple:
+def extension_search(b: tuple[int, ...], lo: int = 1, hi: float = math.inf) -> tuple:
     """(rows, ray, gaps, candidates) of a tuple b of positive entries.
 
-    rows: the nontrivial data; ray and gaps: `arith.dilate_gaps` of their
-    bounds; candidates: the gaps y >= 2 with (b, y) asymptotically hollow.
+    rows: (i, m, denom) of each nontrivial datum; ray and gaps:
+    `arith.dilate_gaps` of their bounds in the window [lo, hi] (every gap by
+    default); candidates: the gaps y >= 2 with (b, y) asymptotically hollow.
     All but rows are None when no datum is nontrivial (b itself is hollow).
     """
     rows = _nontrivial_rows(b)
     if not rows:
         return rows, None, None, None
     s = sum(b) - 1
-    ray, gaps = dilate_gaps([(b[i], m, s, denom) for i, m, _, _, denom in rows])
+    ray, gaps = dilate_gaps([(b[i], m, s, denom) for i, m, denom in rows], lo, hi)
     hollow = [y for y in gaps if y >= 2 and is_asymptotically_hollow(sorted(b + (y,)))]
     return rows, ray, gaps, tuple(hollow)
 
@@ -144,6 +142,7 @@ def candidate_extensions(b: Sequence[int]) -> PrefixReport:
     rows, ray, gaps, candidates = extension_search(b)
     union = None if ray is None else _ray_summary(ray, gaps)
     return PrefixReport(
-        b=b, s=sum(b) - 1, data=tuple(_datum(b, row) for row in rows), unbounded=union is None,
-        horizon=None if union is None else union.horizon, union=union, candidates=candidates,
+        b=b, s=sum(b) - 1, data=tuple(_datum(b, i, m) for i, m, _ in rows),
+        unbounded=union is None, horizon=None if union is None else union.horizon, union=union,
+        candidates=candidates,
     )

@@ -151,8 +151,9 @@ def test_scaled_union_ray_membership():
 
 
 def test_dilate_gaps_takes_unreduced_bounds():
-    # the kernel behind scaled_union, on bounds scaled by arbitrary factors
-    rng = random.Random(15)
+    # the kernel behind scaled_union, on bounds scaled by arbitrary factors,
+    # and on a window [lo, hi] of its gaps
+    rng, window = random.Random(15), random.Random(17)
     for _ in range(200):
         live = [iv for iv in (_random_interval(rng) for _ in range(rng.randint(1, 6)))
                 if not iv.is_empty]
@@ -168,6 +169,9 @@ def test_dilate_gaps_takes_unreduced_bounds():
         assert Fraction(num, den) == summary.ray_start and gaps == summary.gaps
         # the exact pair (t0*p, q) of one of the bounds, as given
         assert any(den == q and num % p == 0 for p, q, _, _ in bounds)
+        lo = window.randint(1, summary.horizon)
+        hi = window.randint(lo - 1, summary.horizon + 2)
+        assert dilate_gaps(bounds, lo, hi) == ((num, den), tuple(y for y in gaps if lo <= y <= hi))
 
 
 def test_ray_start_formula():

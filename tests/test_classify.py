@@ -1,3 +1,4 @@
+import oracle
 import pytest
 
 from hollowsimplex.asymptotic import is_asymptotically_hollow
@@ -87,6 +88,15 @@ def test_classify_min_entry_six():
 def test_classify_min_entry_above_six_is_empty():
     result = classify_triples(10, 25, min_entry=7)
     assert result.sporadic == () and result.family_xs == ()
+
+
+@pytest.mark.parametrize("a_max, x_max, min_entry", [(8, 30, 2), (12, 40, 2), (12, 40, 3)])
+def test_classify_matches_criterion_on_every_triple(a_max, x_max, min_entry):
+    # x_max cuts below many prefixes' horizons here, so the search's window
+    # [x, x_max] must keep both of its ends
+    sporadic, family_xs = oracle.triples_in_box(a_max, x_max, min_entry)
+    result = classify_triples(a_max, x_max, min_entry)
+    assert (list(result.sporadic), list(result.family_xs)) == (sporadic, family_xs)
 
 
 def test_classify_validation():

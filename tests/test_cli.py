@@ -37,6 +37,17 @@ def test_asym_false_exit_one_with_witness():
     assert doc["witness"] == {"index": 1, "entry": 7, "t": 2, "lhs": 10, "rhs": 9}
 
 
+def test_asym_entries_past_sys_maxsize():
+    # the residue-one certificate search counts its entry // 2 subsets with a
+    # range, which takes any int
+    big = 10 ** 20
+    code, doc = _payload(["asym", "--tuple", f"3,{big}"])
+    assert code == 1
+    assert doc["witness"] == {"index": 1, "entry": big, "t": 1, "lhs": 3, "rhs": 1}
+    code, doc = _payload(["asym", "--tuple", f"2,{big},{big + 1}"])
+    assert code == 0 and doc["asymptotically_hollow"] is True
+
+
 def test_hollow_command():
     code, doc = _payload(["hollow", "--alpha", "3,5,7:30"])
     assert code == 0 and doc["hollow"] is True

@@ -164,7 +164,8 @@ def test_candidates_stay_below_every_interval_ray():
 
 def test_classify_search_path_matches_the_report_on_a_grid():
     # the integer path classify runs, against the records extend prints and
-    # the rational ray starts of their intervals
+    # the rational ray starts of their intervals; windowed as classify asks,
+    # it returns the full search restricted to the window
     from hollowsimplex.arith import ray_start
     from hollowsimplex.proscriptive import extension_search
 
@@ -177,6 +178,11 @@ def test_classify_search_path_matches_the_report_on_a_grid():
             assert Fraction(*ray) == report.union.ray_start and gaps == report.union.gaps
             least = min(ray_start(d.interval) for d in report.data)
             assert report.horizon == math.ceil(least), (a, x)
+            for hi in (x, x + 7, report.horizon - 1, report.horizon + 5):
+                w_rows, w_ray, w_gaps, w_candidates = extension_search((a, x), x, hi)
+                assert w_rows == rows and w_ray == ray, (a, x, hi)
+                assert w_gaps == tuple(y for y in gaps if x <= y <= hi), (a, x, hi)
+                assert w_candidates == tuple(y for y in candidates if x <= y <= hi)
 
 
 def test_all_trivial_iff_prefix_hollow():
