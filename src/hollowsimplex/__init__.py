@@ -12,14 +12,7 @@ time one of its names (or the submodule itself) is looked up here, so
 """
 
 _EXPORTS = {
-    "arith": (
-        "HalfOpenInterval",
-        "RaySummary",
-        "content",
-        "ray_start",
-        "rem_pos",
-        "scaled_union",
-    ),
+    "arith": ("content", "rem_pos"),
     "asymptotic": (
         "AgreementReport",
         "CriterionWitness",
@@ -42,8 +35,10 @@ _EXPORTS = {
         "verify_family",
     ),
     "proscriptive": (
+        "HalfOpenInterval",
         "PrefixReport",
         "ProscriptiveDatum",
+        "RaySummary",
         "candidate_extensions",
         "nontrivial_data",
         "proscriptive_datum",

@@ -1,12 +1,11 @@
-"""Exact integer and rational primitives, and the one process pool.
+"""Exact integer primitives, and the one process pool.
 
 Everything downstream leans on a few kernels: the shifted remainder that
 lands in {1, ..., x} instead of {0, ..., x-1} and its sums, gcd content,
-subset sums, half-open rational intervals, and unions of all positive
-integer dilates of such intervals. No float ever enters a comparison. The
-dilate kernel `dilate_gaps` takes the integer bounds (p, q, u, v) of [p/q, u/v);
-`HalfOpenInterval`, `ray_start` and `scaled_union` are its `fractions.Fraction`
-boundary, which callers of the integer kernels alone never load.
+subset sums, and the union of all positive integer dilates of half-open
+intervals [p/q, u/v), which `dilate_gaps` decides on the integer bounds
+(p, q, u, v). No float ever enters a comparison and no rational is built
+here: the rational records live in `proscriptive`.
 """
 
 from __future__ import annotations
@@ -14,10 +13,7 @@ from __future__ import annotations
 import math
 import os
 from itertools import combinations
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, NoReturn, Sequence
-
-if TYPE_CHECKING:
-    from fractions import Fraction
+from typing import Callable, Iterable, Iterator, NoReturn, Sequence
 
 
 def rem_pos(x: int, y: int) -> int:
@@ -136,42 +132,23 @@ def _read_to_eof(fd: int) -> bytes:
     return b"".join(chunks)
 
 
-class _HalfOpenInterval(NamedTuple):
-    lo: Fraction
-    hi: Fraction
-
-    @property
-    def is_empty(self) -> bool:
-        return self.hi <= self.lo
-
-    def __str__(self) -> str:
-        return f"[{self.lo}, {self.hi})"
-
-
-class HalfOpenInterval(_HalfOpenInterval):
-    """Rational interval [lo, hi); empty exactly when hi <= lo."""
-
-    __slots__ = ()
-
-    def __new__(cls, lo, hi) -> "HalfOpenInterval":
-        from fractions import Fraction
-
-        return super().__new__(cls, Fraction(lo), Fraction(hi))
-
-
 def _ray(p: int, q: int, u: int, v: int) -> int:
-    """Numerator t0*p of the ray start t0*p/q of a nonempty [p/q, u/v), p > 0."""
+    """Numerator t0*p of the ray start t0*p/q of a nonempty [p/q, u/v), p > 0:
+    from t0 = ceil(p*v / (u*q - p*v)) on, each dilate overlaps or touches the next."""
     return -(-p * v // (u * q - p * v)) * p
 
 
 def dilate_gaps(bounds: Sequence[tuple[int, ...]], lo: int = 1,
                 hi: float = math.inf) -> tuple[tuple[int, int], tuple[int, ...]]:
-    """`scaled_union` on the integer bounds (p, q, u, v) of nonempty [p/q, u/v).
+    """Union of every positive integer dilate of the nonempty [p/q, u/v) in bounds.
 
-    Bounds need not be reduced; p, q, v > 0. Returns the least ray start as
-    the exact pair (t0*p, q), rays compared by cross-multiplication, and the
-    gaps in the window [lo, min(ceil(ray start), hi)], [1, ceil(ray start)]
-    by default: each interval filters what the last left.
+    Bounds (p, q, u, v) need not be reduced; p, q, v > 0. T = y*q // p is
+    the largest t with t*p/q <= y and t*u/v grows with t, so y lies in a
+    positive dilate exactly when y*v < T*u (false when T = 0). Returns the
+    least ray start as the exact pair (t0*p, q), rays compared by
+    cross-multiplication, and the gaps (integers in no dilate) in the window
+    [lo, min(ceil(ray start), hi)]; the default window [1, ceil(ray start)]
+    holds every gap. Each interval filters what the last left.
     """
     num, den = _ray(*bounds[0]), bounds[0][1]
     for p, q, u, v in bounds:
@@ -181,62 +158,3 @@ def dilate_gaps(bounds: Sequence[tuple[int, ...]], lo: int = 1,
     for p, q, u, v in bounds:
         gaps = [y for y in gaps if not y * v < y * q // p * u]
     return (num, den), tuple(gaps)
-
-
-def ray_start(iv: HalfOpenInterval) -> Fraction:
-    """Start of the infinite ray covered by the dilates of a nonempty interval.
-
-    Consecutive dilates t*[lo, hi) and (t+1)*[lo, hi) overlap or touch once
-    t*hi >= (t+1)*lo, i.e. t >= lo/(hi-lo); from the least such t0 onward the
-    union of dilates is exactly [t0*lo, infinity). With lo = p/q and
-    hi = u/v, t0 = ceil(p*v / (u*q - p*v)) in integers.
-    """
-    from fractions import Fraction
-
-    p, q = iv.lo.as_integer_ratio()
-    u, v = iv.hi.as_integer_ratio()
-    if u * q - p * v <= 0:
-        raise ValueError("empty interval covers no ray")
-    if p <= 0:
-        raise ValueError("interval must have positive lower endpoint")
-    return Fraction(_ray(p, q, u, v), q)
-
-
-class RaySummary(NamedTuple):
-    """Integers missed by a union of dilated intervals, plus its infinite ray.
-
-    Every integer >= ray_start is covered by the union. `gaps` lists the
-    integers in [1, horizon] covered by no dilate, where horizon is
-    ceil(ray_start); all of them lie below ray_start, so they are every gap.
-    """
-
-    ray_start: Fraction
-    gaps: tuple[int, ...]
-    horizon: int
-
-
-def scaled_union(intervals: Sequence[HalfOpenInterval]) -> RaySummary:
-    """Union of every positive integer dilate of the given intervals.
-
-    Write a nonempty interval as [p/q, u/v). T = y*q // p is the largest t with
-    t*lo <= y and t*hi grows with t, so y lies in a positive dilate exactly when
-    y*v < T*u (false when T = 0). The horizon is ceil of the least ray start,
-    which is at least lo > 0, and `gaps` are the y in [1, horizon] that no
-    interval accepts: at most horizon * len(intervals) integer tests. Raises
-    ValueError when every interval is empty, since every integer is then a gap.
-    """
-    for iv in intervals:
-        if iv.lo <= 0:
-            raise ValueError(f"interval {iv} must have positive lower endpoint")
-    bounds = [(*iv.lo.as_integer_ratio(), *iv.hi.as_integer_ratio())
-              for iv in intervals if not iv.is_empty]
-    if not bounds:
-        raise ValueError("every interval is empty, so every positive integer is a gap")
-    return _ray_summary(*dilate_gaps(bounds))
-
-
-def _ray_summary(ray: tuple[int, int], gaps: tuple[int, ...]) -> RaySummary:
-    """The record of `dilate_gaps`' (ray, gaps): its one `Fraction`, and the horizon."""
-    from fractions import Fraction
-
-    return RaySummary(ray_start=Fraction(*ray), gaps=gaps, horizon=-(-ray[0] // ray[1]))

@@ -132,12 +132,12 @@ def robust_stability_point(a: Sequence[int]) -> int:
     and the last one is this point; none disagrees in the 60 N past it.
     Replacing max(a(i) - 1) by max a(i) in the M-side repairs the argument:
     the displaced point at k - 1 behaves like a remainder of a(i), never
-    more. The m-side analogue max a(i)*a(j) is also honored.
+    more. The m-side analogue max a(i)*a(j) is also honored. Each term
+    bounds its classical one, (a(i) - 1)*a(j) <= a(i)*a(j), so the point is
+    never below C.
     """
     a = ascending(a)
-    th = stability_thresholds(a)
-    pair = max(a[i] * a[j] for i in range(len(a)) for j in range(len(a)) if i != j)
-    return max(th.C, (sum(a) - 1) * max(a), pair)
+    return max((sum(a) - 1) * a[-1], a[-1] * a[-2])
 
 
 def sample_tuples(

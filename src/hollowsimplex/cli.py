@@ -446,7 +446,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return 0
         started = time.monotonic()
         echo, payload, verdict = COMMANDS[args.command][0](args)
-    except (ValueError, MemoryError, RecursionError, RuntimeError) as exc:
+    except (ValueError, OverflowError, MemoryError, RecursionError, RuntimeError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     else:

@@ -9,17 +9,56 @@ ray, so the surviving y form a finite, explicitly computable set which the
 full criterion then filters.
 
 The search runs on integers: datum (i, m) is a row (i, m, denom), trivial
-when s*m <= a(i)*denom, with bounds (a(i), m, s, denom) in `arith.dilate_gaps`;
-g_row, f and `fractions` appear only in `_datum`, where a record is built.
+when s*m <= a(i)*denom, with bounds (a(i), m, s, denom) in `arith.dilate_gaps`.
+`fractions` is loaded only for the records built here, each rational once.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
-from .arith import HalfOpenInterval, RaySummary, _ray_summary, dilate_gaps
+from .arith import dilate_gaps
 from .asymptotic import ascending, is_asymptotically_hollow
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+
+class _HalfOpenInterval(NamedTuple):
+    lo: Fraction
+    hi: Fraction
+
+    @property
+    def is_empty(self) -> bool:
+        return self.hi <= self.lo
+
+    def __str__(self) -> str:
+        return f"[{self.lo}, {self.hi})"
+
+
+class HalfOpenInterval(_HalfOpenInterval):
+    """Rational interval [lo, hi); empty exactly when hi <= lo."""
+
+    __slots__ = ()
+
+    def __new__(cls, lo, hi) -> "HalfOpenInterval":
+        from fractions import Fraction
+
+        return super().__new__(cls, Fraction(lo), Fraction(hi))
+
+
+class RaySummary(NamedTuple):
+    """Integers missed by a union of dilated intervals, plus its infinite ray.
+
+    Every integer >= ray_start is covered by the union. `gaps` lists the
+    integers in [1, horizon] covered by no dilate, where horizon is
+    ceil(ray_start); all of them lie below ray_start, so they are every gap.
+    """
+
+    ray_start: Fraction
+    gaps: tuple[int, ...]
+    horizon: int
 
 
 class ProscriptiveDatum(NamedTuple):
@@ -69,7 +108,8 @@ def _datum(b: tuple[int, ...], i: int, m: int) -> ProscriptiveDatum:
     g_row = tuple((m * aj - 1) // b[i] for aj in b)
     f = sum(g_row)
     denom = len(b) - 1 + f
-    iv = HalfOpenInterval(Fraction(b[i], m), Fraction(sum(b) - 1, denom))
+    # the base __new__ takes the endpoints as built, without coercing them again
+    iv = _HalfOpenInterval.__new__(HalfOpenInterval, Fraction(b[i], m), Fraction(sum(b) - 1, denom))
     return ProscriptiveDatum(i, b[i], m, g_row, f, denom, iv)
 
 
@@ -138,9 +178,11 @@ def candidate_extensions(b: Sequence[int]) -> PrefixReport:
     ray start over the nontrivial data lies in a dilate of that datum's
     interval and is proscribed, so no candidate is missed.
     """
+    from fractions import Fraction
+
     b = ascending(b)
     rows, ray, gaps, candidates = extension_search(b)
-    union = None if ray is None else _ray_summary(ray, gaps)
+    union = None if ray is None else RaySummary(Fraction(*ray), gaps, -(-ray[0] // ray[1]))
     return PrefixReport(
         b=b, s=sum(b) - 1, data=tuple(_datum(b, i, m) for i, m, _ in rows),
         unbounded=union is None, horizon=None if union is None else union.horizon, union=union,

@@ -9,16 +9,10 @@ from fractions import Fraction
 import pytest
 
 from conftest import in_dilate
+from oracle import ray_start
 import hollowsimplex
-from hollowsimplex.arith import (
-    HalfOpenInterval,
-    content,
-    dilate_gaps,
-    parallel_map,
-    ray_start,
-    rem_pos,
-    scaled_union,
-)
+from hollowsimplex.arith import content, dilate_gaps, parallel_map, rem_pos
+from hollowsimplex.proscriptive import HalfOpenInterval
 
 
 def test_rem_pos_examples():
@@ -61,8 +55,14 @@ def test_interval_emptiness():
     assert in_dilate(76, iv, 2) and not in_dilate(88, iv, 2)
 
 
+# The scaled union of intervals is the union of all their positive integer
+# dilates; `dilate_gaps` decides it on integer bounds (p, q, u, v) of
+# [p/q, u/v). These tests check it against the oracle's ray start and
+# against membership in each dilate, tested one t at a time.
+
+
 def test_scaled_union_single_interval_gaps():
-    summary = scaled_union([HalfOpenInterval(38, 44)])
+    (num, den), gaps = dilate_gaps([(38, 1, 44, 1)])
     expected = (
         list(range(1, 38))
         + list(range(44, 76))
@@ -72,26 +72,8 @@ def test_scaled_union_single_interval_gaps():
         + list(range(220, 228))
         + list(range(264, 266))
     )
-    assert list(summary.gaps) == expected
-    assert summary.ray_start == 38 * math.ceil(Fraction(38, 6))
-    assert summary.ray_start == summary.horizon == 266
-
-
-def test_scaled_union_empty_interval():
-    # every integer would be a gap, so there is no finite answer
-    with pytest.raises(ValueError, match="every interval is empty"):
-        scaled_union([HalfOpenInterval(2, 2)])
-    with pytest.raises(ValueError, match="every interval is empty"):
-        scaled_union([HalfOpenInterval(3, 2), HalfOpenInterval(Fraction(5, 2), 2)])
-
-
-def test_scaled_union_validation():
-    with pytest.raises(ValueError):
-        scaled_union([HalfOpenInterval(0, 3)])
-    with pytest.raises(ValueError):
-        scaled_union([HalfOpenInterval(-1, -2)])
-    with pytest.raises(ValueError):
-        scaled_union([HalfOpenInterval(1, 2), HalfOpenInterval(-1, 2)])
+    assert list(gaps) == expected
+    assert Fraction(num, den) == ray_start(Fraction(38), Fraction(44)) == 266
 
 
 def _in_some_dilate(intervals, y):
@@ -121,38 +103,38 @@ def _least_ray_by_search(iv):
 
 
 def test_scaled_union_gap_soundness():
+    # the kernel takes the nonempty intervals; the reference sees them all
     rng = random.Random(2020)
-    refused = 0
+    checked = 0
     for _ in range(300):
         intervals = [_random_interval(rng) for _ in range(rng.randint(1, 6))]
         live = [iv for iv in intervals if not iv.is_empty]
         if not live:
-            with pytest.raises(ValueError):
-                scaled_union(intervals)
-            refused += 1
             continue
-        summary = scaled_union(intervals)
-        rays = [ray_start(iv) for iv in live]
+        bounds = [(*iv.lo.as_integer_ratio(), *iv.hi.as_integer_ratio()) for iv in live]
+        (num, den), gaps = dilate_gaps(bounds)
+        rays = [ray_start(iv.lo, iv.hi) for iv in live]
         assert rays == [_least_ray_by_search(iv) for iv in live]
-        assert summary.ray_start == min(rays)
-        assert summary.horizon == max(math.ceil(summary.ray_start), 1)
-        gaps = set(summary.gaps)
-        for y in range(1, summary.horizon + 1):
+        least = min(rays)
+        assert Fraction(num, den) == least
+        for y in range(1, math.ceil(least) + 1):
             assert _in_some_dilate(intervals, y) == (y not in gaps), (intervals, y)
-        assert all(g < summary.ray_start for g in gaps)
-    assert 0 < refused < 30
+        assert all(g < least for g in gaps)
+        checked += 1
+    assert checked > 270
 
 
 def test_scaled_union_ray_membership():
     iv = HalfOpenInterval(Fraction(29, 3), Fraction(132, 13))
-    base = scaled_union([iv]).horizon
+    (num, den), _ = dilate_gaps([(29, 3, 132, 13)])
+    assert Fraction(num, den) == ray_start(iv.lo, iv.hi)
+    base = -(-num // den)
     for z in range(base, base + 100):
         assert _in_some_dilate([iv], z)
 
 
 def test_dilate_gaps_takes_unreduced_bounds():
-    # the kernel behind scaled_union, on bounds scaled by arbitrary factors,
-    # and on a window [lo, hi] of its gaps
+    # bounds scaled by arbitrary factors, and a window [lo, hi] of the gaps
     rng, window = random.Random(15), random.Random(17)
     for _ in range(200):
         live = [iv for iv in (_random_interval(rng) for _ in range(rng.randint(1, 6)))
@@ -165,21 +147,22 @@ def test_dilate_gaps_takes_unreduced_bounds():
             bounds.append((c * iv.lo.numerator, c * iv.lo.denominator,
                            e * iv.hi.numerator, e * iv.hi.denominator))
         (num, den), gaps = dilate_gaps(bounds)
-        summary = scaled_union(live)
-        assert Fraction(num, den) == summary.ray_start and gaps == summary.gaps
+        least = min(ray_start(iv.lo, iv.hi) for iv in live)
+        horizon = math.ceil(least)
+        assert Fraction(num, den) == least
+        assert gaps == tuple(y for y in range(1, horizon + 1) if not _in_some_dilate(live, y))
         # the exact pair (t0*p, q) of one of the bounds, as given
         assert any(den == q and num % p == 0 for p, q, _, _ in bounds)
-        lo = window.randint(1, summary.horizon)
-        hi = window.randint(lo - 1, summary.horizon + 2)
+        lo = window.randint(1, horizon)
+        hi = window.randint(lo - 1, horizon + 2)
         assert dilate_gaps(bounds, lo, hi) == ((num, den), tuple(y for y in gaps if lo <= y <= hi))
 
 
 def test_ray_start_formula():
-    assert ray_start(HalfOpenInterval(38, 44)) == 266
-    assert ray_start(HalfOpenInterval(2, 3)) == 4
-    assert ray_start(HalfOpenInterval(3, 4)) == 9
-    with pytest.raises(ValueError):
-        ray_start(HalfOpenInterval(2, 2))
+    for (p, q, u, v), ray in (((38, 1, 44, 1), 266), ((2, 1, 3, 1), 4), ((3, 1, 4, 1), 9),
+                              ((29, 3, 132, 13), Fraction(580, 3))):
+        (num, den), _ = dilate_gaps([(p, q, u, v)])
+        assert Fraction(num, den) == ray == ray_start(Fraction(p, q), Fraction(u, v))
 
 
 THREADS = 2

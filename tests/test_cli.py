@@ -199,6 +199,9 @@ def test_invalid_inputs_exit_two():
     # asym has one multiplier range and no option to choose another
     assert run_cli(["asym", "--tuple", "6,10,15", "--range", "full"])[0] == 2
     assert run_cli(["agree", "--min-len", "5", "--max-len", "3"])[0] == 2
+    # a length range too long to list is refused, not a negative verdict
+    assert run_cli(["agree", "--count", "1", "--min-len", "2",
+                    "--max-len", "100000000000000000000"])[0] == 2
     # Sweeps that would check nothing, or sample from an empty range, are refused.
     for argv in (["--window", "0"], ["--window", "-3"], ["--count", "0"],
                  ["--count", "-1"], ["--low", "5", "--high", "2"]):

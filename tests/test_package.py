@@ -126,8 +126,6 @@ def test_export_table_resolves_to_submodules():
 def _samples():
     spec = simplex.SimplexSpec((2, 3), 13)
     return {
-        arith.HalfOpenInterval: arith.HalfOpenInterval(1, Fraction(3, 2)),
-        arith.RaySummary: arith.RaySummary(Fraction(7, 2), (1, 2), 5),
         asymptotic.CriterionWitness: asymptotic.criterion_witness((3, 7, 9)),
         asymptotic.StabilityThresholds: asymptotic.stability_thresholds((3, 5, 7)),
         asymptotic.AgreementMismatch: asymptotic.AgreementMismatch((2, 3), 7, True, False),
@@ -135,6 +133,8 @@ def _samples():
         classify.TripleSet: classify.reference_triples(12),
         proscriptive.ProscriptiveDatum: proscriptive.proscriptive_datum((3, 5), 1, 2),
         proscriptive.PrefixReport: proscriptive.candidate_extensions((3, 5)),
+        proscriptive.HalfOpenInterval: proscriptive.HalfOpenInterval(1, Fraction(3, 2)),
+        proscriptive.RaySummary: proscriptive.RaySummary(Fraction(7, 2), (1, 2), 5),
         residues.ResidueSet: residues.bounded_remainder_set(30, 3),
         simplex.SimplexSpec: spec,
         simplex.LatticePointReport: simplex.first_interior_point(spec),
@@ -145,8 +145,6 @@ def _samples():
 
 def test_record_fields_keep_their_order():
     fields = {
-        arith.HalfOpenInterval: ("lo", "hi"),
-        arith.RaySummary: ("ray_start", "gaps", "horizon"),
         asymptotic.CriterionWitness: ("index", "entry", "t", "lhs", "rhs"),
         asymptotic.StabilityThresholds: ("m_bound", "M_bound"),
         asymptotic.AgreementMismatch: ("a", "big_n", "criterion", "brute_force"),
@@ -156,6 +154,8 @@ def test_record_fields_keep_their_order():
                                          "interval"),
         proscriptive.PrefixReport: ("b", "s", "data", "unbounded", "horizon", "union",
                                     "candidates"),
+        proscriptive.HalfOpenInterval: ("lo", "hi"),
+        proscriptive.RaySummary: ("ray_start", "gaps", "horizon"),
         residues.ResidueSet: ("x", "r", "members", "variant"),
         simplex.SimplexSpec: ("a", "d"),
         simplex.LatticePointReport: ("k", "coords", "location", "lambda_sum"),
@@ -190,9 +190,9 @@ def test_simplex_spec_validates_and_coerces():
 
 
 def test_half_open_interval_coerces_to_fractions():
-    iv = arith.HalfOpenInterval(1, 2)
+    iv = proscriptive.HalfOpenInterval(1, 2)
     assert type(iv.lo) is Fraction and type(iv.hi) is Fraction
-    assert arith.HalfOpenInterval(hi="5/2", lo=0.5) == (Fraction(1, 2), Fraction(5, 2))
+    assert proscriptive.HalfOpenInterval(hi="5/2", lo=0.5) == (Fraction(1, 2), Fraction(5, 2))
     assert str(iv) == "[1, 2)" and not iv.is_empty
 
 

@@ -5,11 +5,12 @@ from itertools import combinations_with_replacement
 import pytest
 
 from conftest import in_dilate
-from oracle import asymptotically_hollow, rem, trivial_by_remainders
+from oracle import asymptotically_hollow, ray_start, rem, trivial_by_remainders
 
-from hollowsimplex.arith import HalfOpenInterval, scaled_union
+from hollowsimplex.arith import dilate_gaps
 from hollowsimplex.asymptotic import is_asymptotically_hollow
 from hollowsimplex.proscriptive import (
+    HalfOpenInterval,
     candidate_extensions,
     nontrivial_data,
     proscriptive_datum,
@@ -153,11 +154,9 @@ def test_candidates_match_criterion_filter_below_ray():
 
 def test_candidates_stay_below_every_interval_ray():
     # the finite-candidates bound, stated against the exact dilate rays
-    from hollowsimplex.arith import ray_start
-
     for b in ((2, 2), (2, 3), (2, 4), (29, 38, 66)):
         report = candidate_extensions(b)
-        least_ray = min(ray_start(d.interval) for d in report.data)
+        least_ray = min(ray_start(*d.interval) for d in report.data)
         assert report.candidates
         assert max(report.candidates) < least_ray
 
@@ -166,7 +165,6 @@ def test_classify_search_path_matches_the_report_on_a_grid():
     # the integer path classify runs, against the records extend prints and
     # the rational ray starts of their intervals; windowed as classify asks,
     # it returns the full search restricted to the window
-    from hollowsimplex.arith import ray_start
     from hollowsimplex.proscriptive import extension_search
 
     for a in range(2, 13):
@@ -176,7 +174,7 @@ def test_classify_search_path_matches_the_report_on_a_grid():
             assert candidates == report.candidates, (a, x)
             assert [(d.index, d.m) for d in report.data] == [row[:2] for row in rows]
             assert Fraction(*ray) == report.union.ray_start and gaps == report.union.gaps
-            least = min(ray_start(d.interval) for d in report.data)
+            least = min(ray_start(*d.interval) for d in report.data)
             assert report.horizon == math.ceil(least), (a, x)
             for hi in (x, x + 7, report.horizon - 1, report.horizon + 5):
                 w_rows, w_ray, w_gaps, w_candidates = extension_search((a, x), x, hi)
@@ -202,8 +200,12 @@ def test_worked_extension_narrative():
     then cuts to {2, 3, 10, 11, 49}, and the dilates of [29/3, 132/13)
     remove 10 (t = 1) and 49 (t = 5), leaving exactly {2, 3, 11}.
     """
-    step1 = scaled_union([HalfOpenInterval(38, 44)])
-    survivors = [y for y in step1.gaps if y >= 2 and rem(38, y) <= 11]
+    first = HalfOpenInterval(38, 44)
+    ray, step1 = dilate_gaps([(38, 1, 44, 1)])
+    assert Fraction(*ray) == ray_start(*first) == 266
+    assert step1 == tuple(y for y in range(1, 267)
+                          if not any(in_dilate(y, first, t) for t in range(1, 8)))
+    survivors = [y for y in step1 if y >= 2 and rem(38, y) <= 11]
     assert survivors == list(range(2, 12)) + list(range(44, 50))
 
     step2 = [y for y in survivors if rem(29, 3 * y) <= 10]
