@@ -12,7 +12,7 @@ time one of its names (or the submodule itself) is looked up here, so
 """
 
 _EXPORTS = {
-    "arith": ("content", "rem_pos"),
+    "arith": ("rem_pos",),
     "asymptotic": (
         "AgreementReport",
         "CriterionWitness",

@@ -1,9 +1,9 @@
 """Exact integer primitives, and the one process pool.
 
 Everything downstream leans on a few kernels: the shifted remainder that
-lands in {1, ..., x} instead of {0, ..., x-1} and its sums, gcd content,
-subset sums, and the union of all positive integer dilates of half-open
-intervals [p/q, u/v), which `dilate_gaps` decides on the integer bounds
+lands in {1, ..., x} instead of {0, ..., x-1} and its sums, subset sums,
+and the union of all positive integer dilates of half-open intervals
+[p/q, u/v), which `dilate_gaps` decides on the integer bounds
 (p, q, u, v). No float ever enters a comparison and no rational is built
 here: the rational records live in `proscriptive`.
 """
@@ -37,11 +37,6 @@ def remainder_sum(entry: int, others: Iterable[int], t: int) -> int:
     return total
 
 
-def content(values: Iterable[int]) -> int:
-    """gcd of the absolute values; 0 for an empty collection."""
-    return math.gcd(*values)
-
-
 def subset_sums(values: Sequence[int]) -> Iterator[tuple[tuple[int, ...], int]]:
     """(positions, sum) of every nonempty subset, by size, then lexicographically."""
     m = len(values)
@@ -50,29 +45,28 @@ def subset_sums(values: Sequence[int]) -> Iterator[tuple[tuple[int, ...], int]]:
 
 
 def parallel_map(fn: Callable, jobs: Sequence, threads: int = 1) -> list:
-    """[fn(job) for job in jobs], in forked worker processes when threads > 1.
+    """[fn(job) for job in jobs], shared with forked worker processes.
 
-    threads must lie in [1, os.cpu_count()] and is checked before any worker
-    starts. Above 1, k = min(threads, len(jobs)) workers are forked and worker
-    w computes jobs[w::k]; where os.fork does not exist the jobs run serially
-    in this process. Results keep the order of jobs, so output never depends
-    on threads. A worker's exception is raised here with its type and
-    message, and a worker that ends without a result (killed, out of memory)
-    raises RuntimeError. Every worker is reaped before this returns.
+    threads must lie in [1, os.cpu_count()] and is checked before any job
+    runs. The jobs are split k = max(1, min(threads, len(jobs))) ways, or
+    k = 1 where os.fork does not exist: this process computes jobs[0::k]
+    and k - 1 forked workers compute jobs[w::k], 1 <= w < k. jobs[0] runs
+    before any fork, so every worker inherits the modules fn loads lazily
+    instead of compiling them again. Results keep the order of jobs, so
+    output never depends on threads. An exception, here or in a worker, is
+    raised here with its type and message, and a worker that ends without a
+    result (killed, out of memory) raises RuntimeError. Every worker is
+    reaped before this returns.
     """
     cpus = os.cpu_count() or 1
     if not 1 <= threads <= cpus:
         raise ValueError(f"threads must lie in [1, {cpus}], got {threads}")
-    if threads == 1 or not hasattr(os, "fork"):
-        return [fn(job) for job in jobs]
-    # Imported here so that serial runs never pay for it.
-    import pickle
-
-    k = min(threads, len(jobs))
+    k = max(1, min(threads, len(jobs))) if hasattr(os, "fork") else 1
+    own = [fn(job) for job in jobs[:1]]
     pids: list[int] = []
     reads: list[int] = []
     try:
-        for w in range(k):
+        for w in range(1, k):
             r, wr = os.pipe()
             reads.append(r)
             try:
@@ -82,6 +76,7 @@ def parallel_map(fn: Callable, jobs: Sequence, threads: int = 1) -> list:
             finally:
                 os.close(wr)
             pids.append(pid)
+        own += [fn(job) for job in jobs[k::k]]
         # Read every pipe to EOF before reaping: a worker blocks on a full pipe.
         blobs = [_read_to_eof(r) for r in reads]
     except BaseException:
@@ -95,10 +90,14 @@ def parallel_map(fn: Callable, jobs: Sequence, threads: int = 1) -> list:
             os.close(r)
         statuses = [os.waitpid(pid, 0)[1] for pid in pids]
     results: list = [None] * len(jobs)
-    for w, (blob, status) in enumerate(zip(blobs, statuses)):
+    results[::k] = own
+    for w, (blob, status) in enumerate(zip(blobs, statuses), 1):
         if not blob:
             code = os.waitstatus_to_exitcode(status)
             raise RuntimeError(f"worker process ended without a result (exit code {code})")
+        # Imported here so that serial runs never pay for it.
+        import pickle
+
         ok, value = pickle.loads(blob)
         if not ok:
             raise value

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .arith import rem_pos
-
 STRICT = "strict"
 EXEMPT = "exempt"
 
@@ -43,7 +41,7 @@ def bounded_remainder_set(x: int, r: int, variant: str = STRICT) -> ResidueSet:
     members = []
     for z in range(1, x + 1):
         for t in range(1, t_max + 1):
-            rem = rem_pos(x, z * t)
+            rem = z * t % x or x
             if exempt and rem == x:
                 continue
             if rem > x - (r - 1) * t:

@@ -11,7 +11,7 @@ import pytest
 from conftest import in_dilate
 from oracle import ray_start
 import hollowsimplex
-from hollowsimplex.arith import content, dilate_gaps, parallel_map, rem_pos
+from hollowsimplex.arith import dilate_gaps, parallel_map, rem_pos
 from hollowsimplex.proscriptive import HalfOpenInterval
 
 
@@ -36,13 +36,6 @@ def test_rem_pos_periodicity_and_range():
             assert (r - y) % x == 0
             assert rem_pos(x, y + x) == r
             assert (r == x) == (y % x == 0)
-
-
-def test_content_examples():
-    assert content([6, 10, 15]) == 1
-    assert content([]) == 0
-    assert content([4, 6]) == 2
-    assert content([-4, 6]) == 2
 
 
 def test_interval_emptiness():
@@ -174,11 +167,39 @@ def _square_with_pid(job):
 
 @pytest.mark.parametrize("n", [0, 1, 5, 8])
 def test_parallel_map_keeps_job_order(n, no_child_left):
-    # 5 jobs over 2 workers leave a remainder; 1 job is fewer than the workers
+    # 5 jobs over 2 processes leave a remainder; 1 job is fewer than the
+    # processes. This process computes jobs[0::k], one forked worker the rest.
     out = parallel_map(_square_with_pid, list(range(n)), threads=THREADS)
     assert [sq for sq, _ in out] == [j * j for j in range(n)]
-    pids = {pid for _, pid in out}
-    assert os.getpid() not in pids and len(pids) == min(n, THREADS)
+    pids = [pid for _, pid in out]
+    assert all(pid == os.getpid() for pid in pids[::THREADS])
+    assert len(set(pids)) == min(n, THREADS)
+
+
+def test_parallel_map_without_fork_runs_every_job_here(monkeypatch, no_child_left):
+    monkeypatch.delattr(os, "fork")
+    out = parallel_map(_square_with_pid, list(range(5)), threads=THREADS)
+    assert out == [(j * j, os.getpid()) for j in range(5)]
+
+
+def test_parallel_map_workers_inherit_what_the_first_job_loaded():
+    # jobs[0] runs before any fork, so a module it imports lazily is
+    # already loaded in every worker; colorsys is absent from a -S start
+    src = os.path.dirname(os.path.dirname(hollowsimplex.__file__))
+    code = (
+        "import os, sys\n"
+        "from hollowsimplex.arith import parallel_map\n"
+        "def job(_):\n"
+        "    loaded = 'colorsys' in sys.modules\n"
+        "    import colorsys\n"
+        "    return os.getpid(), loaded\n"
+        "assert 'colorsys' not in sys.modules\n"
+        f"out = parallel_map(job, range(6), threads={THREADS})\n"
+        "print(sorted({loaded for pid, loaded in out if pid != os.getpid()}))\n"
+    )
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out == "[True]\n"
 
 
 def _run_job(job):
@@ -198,9 +219,13 @@ def _run_job(job):
     ("kill", RuntimeError, "^worker process ended without a result"),
 ])
 def test_parallel_map_raises_worker_failures(kind, error, message, no_child_left):
-    jobs = [("ok", 0), ("ok", 1), ("ok", 2), (kind, 3), ("ok", 4)]
-    with pytest.raises(error, match=message):
-        parallel_map(_run_job, jobs, threads=THREADS)
+    # index 3 is a worker's; 0 runs here before any fork, 2 while a worker
+    # runs. A kill here would end the test run, so it goes to the worker only.
+    for index in (3,) if kind == "kill" else (3, 0, 2):
+        jobs = [("ok", j) for j in range(5)]
+        jobs[index] = (kind, 3)
+        with pytest.raises(error, match=message):
+            parallel_map(_run_job, jobs, threads=THREADS)
 
 
 def test_parallel_map_workers_leave_parent_exit_alone():
