@@ -14,7 +14,7 @@ exact lattice-point decisions: one cell table per tuple in `simplex`.
 from __future__ import annotations
 
 import random
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .arith import parallel_map, remainder_sum, subset_sums
 
@@ -39,15 +39,18 @@ class CriterionWitness(NamedTuple):
     rhs: int
 
 
-def criterion_witness(a: Sequence[int]) -> Optional[CriterionWitness]:
-    """Least failing (index, t) over the ascending form of a, or None.
+def criterion_failures(a: Sequence[int], half: bool) -> Iterator[tuple[int, ...]]:
+    """(index, entry, t, lhs, rhs) of every failing pair of a as given, by index then t.
 
-    Only t in [1, a(i)//2] is scanned. At t = a(i) both sides agree exactly,
-    and for larger t the left side is periodic while the right side grows.
-    A failure at some t in (a(i)/2, a(i)) forces a failure at 2t - a(i),
-    which is strictly smaller and stays positive, so iterating lands in the
-    half range; for even a(i) the midpoint a(i)/2 is a genuine fixed point
-    of that reduction and is kept.
+    A pair fails when lhs, the remainder sum, exceeds rhs = t + (n-3)*a(i)
+    with n = len(a) + 1. t runs over [1, a(i)//2] when half is set, else
+    over [1, a(i) - 1]. The half range fails for the same entries: at
+    t = a(i) both sides agree exactly, and for larger t the left side is
+    periodic while the right side grows. A failure at some t in
+    (a(i)/2, a(i)) forces a failure at 2t - a(i), which is strictly smaller
+    and stays positive, so iterating lands in the half range; for even a(i)
+    the midpoint a(i)/2 is a genuine fixed point of that reduction and is
+    kept.
 
     An entry is skipped when `_residue_one` finds a subset S of the other
     entries summing to 1 mod a(i). For every t the terms rem_pos(a(i),
@@ -56,19 +59,25 @@ def criterion_witness(a: Sequence[int]) -> Optional[CriterionWitness]:
     each, and the inequality holds for every t. Entries equal to 1 count in
     S too.
     """
-    a = ascending(a)
-    n = len(a) + 1
-    shift = n - 3
+    shift = len(a) - 2
     for i, ai in enumerate(a):
         others = [aj % ai for j, aj in enumerate(a) if j != i]
         if ai < 2 or _residue_one(others, ai):
             continue
         bound = shift * ai
-        for t in range(1, ai // 2 + 1):
+        for t in range(1, (ai // 2 if half else ai - 1) + 1):
             lhs = remainder_sum(ai, others, t)
             if lhs > t + bound:
-                return CriterionWitness(index=i, entry=ai, t=t, lhs=lhs, rhs=t + bound)
-    return None
+                yield i, ai, t, lhs, t + bound
+
+
+def criterion_witness(a: Sequence[int]) -> Optional[CriterionWitness]:
+    """The first half-range criterion failure of the ascending form of a, or None.
+
+    The full range would double the scan of every entry that passes.
+    """
+    first = next(criterion_failures(ascending(a), half=True), None)
+    return None if first is None else CriterionWitness(*first)
 
 
 def is_asymptotically_hollow(a: Sequence[int]) -> bool:
@@ -81,8 +90,11 @@ def _residue_one(others: Sequence[int], entry: int) -> bool:
 
     The whole complement is tried first: it certifies every entry of the
     doubling family in O(n) additions, where enumeration would reach it last.
-    A certificate saves the entry's entry // 2 multipliers, so enumeration
-    stops after that many subsets; False only means no certificate was found.
+    Enumeration stops after entry // 2 subsets, the multipliers a
+    certificate saves the witness. The cap stays although a certificate
+    saves the rows of a prefix entry - 1 multipliers: the witness path
+    would pay more for a longer search than it saves. False only means no
+    certificate was found.
     """
     return sum(others) % entry == 1 or any(
         total % entry == 1 for _, (_, total) in zip(range(entry // 2), subset_sums(others))

@@ -8,9 +8,10 @@ nonempty interval, and each nonempty interval's dilates swallow an infinite
 ray, so the surviving y form a finite, explicitly computable set which the
 full criterion then filters.
 
-The search runs on integers: datum (i, m) is a row (i, m, denom), trivial
-when s*m <= a(i)*denom, with bounds (a(i), m, s, denom) in `arith.dilate_gaps`.
-`fractions` is loaded only for the records built here, each rational once.
+The search runs on integers: a nontrivial datum (i, m) is a criterion
+failure of b at entry a(i) with multiplier m, kept as a row (i, m, denom)
+with bounds (a(i), m, s, denom) in `arith.dilate_gaps`. `fractions` is
+loaded only for the records built here, each rational once.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import math
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from .arith import dilate_gaps
-from .asymptotic import ascending, is_asymptotically_hollow
+from .asymptotic import ascending, criterion_failures, is_asymptotically_hollow
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -67,10 +68,8 @@ class ProscriptiveDatum(NamedTuple):
     g_row[j] counts the fractions a(j)/k strictly above a(i)/m, i.e.
     floor((m*a(j) - 1)/a(i)); f is its sum over j and denom = n - 3 + f with
     n the ambient dimension once the extension entry is appended. The base
-    interval is [a(i)/m, s/denom) with s = sum(b) - 1, and it is trivial
-    (empty) exactly when
-
-        sum over j != i of rem_pos(a(i), m*a(j))  <=  m + (n-4)*a(i).
+    interval is [a(i)/m, s/denom) with s = sum(b) - 1; it is nonempty
+    exactly when b fails the criterion at entry a(i) with multiplier m.
     """
 
     index: int
@@ -96,10 +95,11 @@ def _validate_prefix(b: Sequence[int]) -> tuple[int, ...]:
 
 
 def _nontrivial_rows(b: tuple[int, ...]) -> list[tuple[int, int, int]]:
-    """The (i, m, denom) rows of the nontrivial data of b; n - 3 = len(b) - 1."""
-    s, base = sum(b) - 1, len(b) - 1
-    return [(i, m, denom) for i, ai in enumerate(b) for m in range(1, ai)
-            if s * m > ai * (denom := base + sum((m * aj - 1) // ai for aj in b))]
+    """The (i, m, denom) rows of the nontrivial data of b: its full-range
+    criterion failures, with f = (m*(s + 1) - a(i) - lhs) // a(i)."""
+    s1, base = sum(b), len(b) - 1
+    return [(i, m, base + (m * s1 - ai - lhs) // ai)
+            for i, ai, m, lhs, _ in criterion_failures(b, half=False)]
 
 
 def _datum(b: tuple[int, ...], i: int, m: int) -> ProscriptiveDatum:
@@ -124,12 +124,7 @@ def proscriptive_datum(b: Sequence[int], i: int, m: int) -> ProscriptiveDatum:
 
 
 def nontrivial_data(b: Sequence[int]) -> tuple[ProscriptiveDatum, ...]:
-    """All nonempty-interval data, with m capped at a(i) - 1 per entry.
-
-    For m >= a(i) triviality is automatic: the remainder sum over the other
-    n - 3 entries is at most (n-3)*a(i) <= m + (n-4)*a(i). That inequality
-    (s*m <= a(i)*denom rearranged) decides triviality before any interval.
-    """
+    """All nonempty-interval data, in the order of b and then of m < a(i)."""
     b = _validate_prefix(b)
     return tuple(_datum(b, i, m) for i, m, _ in _nontrivial_rows(b))
 

@@ -60,20 +60,6 @@ class _SimplexSpec(NamedTuple):
         """The distinguished vertex as an integer vector."""
         return self.a + (self.d,)
 
-    @property
-    def is_normalized(self) -> bool:
-        """True when 1 <= a(i) < d for all i and the full row has content 1."""
-        return all(1 <= v < self.d for v in self.a) and math.gcd(*self.row) == 1
-
-    def normalized(self) -> "SimplexSpec":
-        """Reduce entries mod d and drop zeros. Never applied implicitly;
-        dropping a zero entry shrinks the ambient dimension."""
-        reduced = tuple(v % self.d for v in self.a)
-        kept = tuple(v for v in reduced if v != 0)
-        if len(kept) < 2:
-            raise ValueError(f"normalization of {self} leaves fewer than two entries")
-        return SimplexSpec(kept, self.d)
-
     def vertices(self) -> tuple[tuple[int, ...], ...]:
         """All n+1 vertices, ordered [v, e_1, ..., e_{n-1}, 0]."""
         n = self.dimension

@@ -1,7 +1,7 @@
 import random
 from itertools import combinations_with_replacement, permutations
 
-from oracle import rem
+from oracle import criterion_sides, failures, rem
 
 from hollowsimplex.arith import remainder_sum, subset_sums
 from hollowsimplex.asymptotic import (
@@ -9,6 +9,7 @@ from hollowsimplex.asymptotic import (
     _residue_one,
     agreement_sweep,
     ascending,
+    criterion_failures,
     criterion_witness,
     is_asymptotically_hollow,
     robust_stability_point,
@@ -45,6 +46,18 @@ def test_half_range_includes_even_midpoint():
     assert criterion_witness((4, 6, 6)) == CriterionWitness(0, 4, 2, 8, 6)
     assert criterion_witness((6, 8, 10)) == CriterionWitness(0, 6, 3, 12, 9)
     assert criterion_witness((8, 10, 14)) == CriterionWitness(0, 8, 4, 16, 12)
+
+
+def test_failures_match_the_oracle_in_both_ranges():
+    # every failing pair, not just the first; a residue-one skip drops no
+    # failure, so the oracle, which sums every remainder, yields the same
+    tuples = [*combinations_with_replacement(range(1, 14), 3),
+              *combinations_with_replacement(range(2, 10), 4), (10, 5, 4, 3)]
+    for a in tuples:
+        a = tuple(sorted(a))
+        for half in (True, False):
+            expected = [(i, a[i], t, *criterion_sides(a, i, t)) for i, t in failures(a, half)]
+            assert list(criterion_failures(a, half)) == expected, (a, half)
 
 
 def test_is_asymptotically_hollow_examples():

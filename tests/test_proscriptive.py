@@ -72,14 +72,20 @@ def test_g_row_identity():
 
 
 def test_triviality_equivalence_both_ways():
+    # In the 4-entry prefixes a residue-one certificate skips an entry while
+    # other data stay nontrivial: in (10, 5, 4, 3) the whole complement
+    # certifies 3, the proper subset {5} certifies 4, and 2 data remain.
+    certified = [(10, 5, 4, 3), (11, 11, 5, 2), (9, 5, 5, 3), (10, 9, 5, 4), (12, 11, 6, 4)]
     prefixes = [*combinations_with_replacement(range(1, 13), 2),
-                *combinations_with_replacement(range(2, 9), 3)]
-    for b in prefixes:
+                *combinations_with_replacement(range(2, 9), 3), *certified]
+    # nontrivial_data keeps the order of b, as proscribe passes it
+    for b in prefixes + [b[::-1] for b in prefixes]:
         for i, ai in enumerate(b):
             for m in range(1, max(ai, 2)):
                 datum = proscriptive_datum(b, i, m)
                 assert datum.trivial == trivial_by_remainders(b, i, m), (b, i, m)
-        # nontrivial_data decides by s*m > a(i)*denom, never by the remainder sum
+        # nontrivial_data takes the package's criterion failures, with the
+        # residue-one skip; the oracle sums every remainder, with none
         expected = [(i, m) for i, ai in enumerate(b) for m in range(1, ai)
                     if not trivial_by_remainders(b, i, m)]
         assert [(d.index, d.m) for d in nontrivial_data(b)] == expected, b

@@ -51,14 +51,6 @@ def test_spec_validation_and_parse():
         SimplexSpec.parse("3,x:30")
 
 
-def test_normalization():
-    assert SimplexSpec((3, 5, 7), 30).is_normalized
-    assert not SimplexSpec((2, 4), 6).is_normalized
-    assert SimplexSpec((14, 3), 12).normalized() == SimplexSpec((2, 3), 12)
-    with pytest.raises(ValueError):
-        SimplexSpec((12, 24), 12).normalized()
-
-
 def test_enumeration_2_3_12():
     pts = enumerate_non_extreme_points(SimplexSpec((2, 3), 12))
     by_k = {p.k: p for p in pts}
