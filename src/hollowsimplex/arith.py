@@ -1,16 +1,12 @@
 """Exact integer primitives, and the one process pool.
 
 Everything downstream leans on a few kernels: the shifted remainder that
-lands in {1, ..., x} instead of {0, ..., x-1} and its sums, subset sums,
-and the union of all positive integer dilates of half-open intervals
-[p/q, u/v), which `dilate_gaps` decides on the integer bounds
-(p, q, u, v). No float ever enters a comparison and no rational is built
-here: the rational records live in `proscriptive`.
+lands in {1, ..., x} instead of {0, ..., x-1} and its sums, and subset
+sums. No float ever enters a comparison and no rational is built here.
 """
 
 from __future__ import annotations
 
-import math
 import os
 from itertools import combinations
 from typing import Callable, Iterable, Iterator, NoReturn, Sequence
@@ -129,31 +125,3 @@ def _read_to_eof(fd: int) -> bytes:
     while chunk := os.read(fd, 1 << 16):
         chunks.append(chunk)
     return b"".join(chunks)
-
-
-def _ray(p: int, q: int, u: int, v: int) -> int:
-    """Numerator t0*p of the ray start t0*p/q of a nonempty [p/q, u/v), p > 0:
-    from t0 = ceil(p*v / (u*q - p*v)) on, each dilate overlaps or touches the next."""
-    return -(-p * v // (u * q - p * v)) * p
-
-
-def dilate_gaps(bounds: Sequence[tuple[int, ...]], lo: int = 1,
-                hi: float = math.inf) -> tuple[tuple[int, int], tuple[int, ...]]:
-    """Union of every positive integer dilate of the nonempty [p/q, u/v) in bounds.
-
-    Bounds (p, q, u, v) need not be reduced; p, q, v > 0. T = y*q // p is
-    the largest t with t*p/q <= y and t*u/v grows with t, so y lies in a
-    positive dilate exactly when y*v < T*u (false when T = 0). Returns the
-    least ray start as the exact pair (t0*p, q), rays compared by
-    cross-multiplication, and the gaps (integers in no dilate) in the window
-    [lo, min(ceil(ray start), hi)]; the default window [1, ceil(ray start)]
-    holds every gap. Each interval filters what the last left.
-    """
-    num, den = _ray(*bounds[0]), bounds[0][1]
-    for p, q, u, v in bounds:
-        if (ray := _ray(p, q, u, v)) * den < num * q:
-            num, den = ray, q
-    gaps = range(lo, min(-(-num // den), hi) + 1)
-    for p, q, u, v in bounds:
-        gaps = [y for y in gaps if not y * v < y * q // p * u]
-    return (num, den), tuple(gaps)

@@ -9,9 +9,10 @@ ray, so the surviving y form a finite, explicitly computable set which the
 full criterion then filters.
 
 The search runs on integers: a nontrivial datum (i, m) is a criterion
-failure of b at entry a(i) with multiplier m, kept as a row (i, m, denom)
-with bounds (a(i), m, s, denom) in `arith.dilate_gaps`. `fractions` is
-loaded only for the records built here, each rational once.
+failure of b at entry a(i) with multiplier m, kept as a row (i, m, e) with
+e = lhs - rhs > 0, and it proscribes y exactly when
+y*e > s*(y*m mod a(i)). `fractions` is loaded only for the records built
+here, each rational once.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
-from .arith import dilate_gaps
 from .asymptotic import ascending, criterion_failures, is_asymptotically_hollow
 
 if TYPE_CHECKING:
@@ -94,14 +94,6 @@ def _validate_prefix(b: Sequence[int]) -> tuple[int, ...]:
     return b
 
 
-def _nontrivial_rows(b: tuple[int, ...]) -> list[tuple[int, int, int]]:
-    """The (i, m, denom) rows of the nontrivial data of b: its full-range
-    criterion failures, with f = (m*(s + 1) - a(i) - lhs) // a(i)."""
-    s1, base = sum(b), len(b) - 1
-    return [(i, m, base + (m * s1 - ai - lhs) // ai)
-            for i, ai, m, lhs, _ in criterion_failures(b, half=False)]
-
-
 def _datum(b: tuple[int, ...], i: int, m: int) -> ProscriptiveDatum:
     from fractions import Fraction
 
@@ -126,24 +118,47 @@ def proscriptive_datum(b: Sequence[int], i: int, m: int) -> ProscriptiveDatum:
 def nontrivial_data(b: Sequence[int]) -> tuple[ProscriptiveDatum, ...]:
     """All nonempty-interval data, in the order of b and then of m < a(i)."""
     b = _validate_prefix(b)
-    return tuple(_datum(b, i, m) for i, m, _ in _nontrivial_rows(b))
+    return tuple(_datum(b, i, m) for i, _, m, _, _ in criterion_failures(b, half=False))
 
 
 def extension_search(b: tuple[int, ...], lo: int = 1, hi: float = math.inf) -> tuple:
     """(rows, ray, gaps, candidates) of a tuple b of positive entries.
 
-    rows: (i, m, denom) of each nontrivial datum; ray and gaps:
-    `arith.dilate_gaps` of their bounds in the window [lo, hi] (every gap by
-    default); candidates: the gaps y >= 2 with (b, y) asymptotically hollow.
-    All but rows are None when no datum is nontrivial (b itself is hollow).
+    rows: (i, m, e) of each criterion failure of b with m < a(i), e = lhs -
+    rhs: the nontrivial data. ray: their least ray start as the exact pair
+    ((ceil(m*s/e) - 1)*a(i), m), compared by cross-multiplication. gaps:
+    the integers in the window [lo, min(ceil(ray), hi)] that no row
+    proscribes (every gap by default). candidates: the gaps y >= 2 with
+    (b, y) asymptotically hollow. All but rows are None when b has no
+    failure (b itself is hollow).
+
+    A row proscribes y exactly when y*e > s*(y*m mod a(i)). Proof: the
+    dilates t*[a(i)/m, s/denom) grow with t at both ends, so y lies in one
+    exactly when it lies in that of T = y*m // a(i), the largest t with
+    t*a(i)/m <= y: when y*denom < T*s. As m*a(j) = a(i)*g_row[j] +
+    rem_pos(a(i), m*a(j)) for every j and g_row[i] = m - 1, a(i)*denom =
+    m*s - e for every (i, m), so e > 0 exactly for the nontrivial data.
+    With r = y*m mod a(i) = y*m - T*a(i), y*denom < T*s times a(i) reads
+    y*(m*s - e) < (y*m - r)*s, that is y*e > r*s. T = 0 needs no case: then
+    r = y*m, and e < m*s proscribes nothing. The dilate of t reaches the
+    next one, t*s/denom >= (t+1)*a(i)/m, exactly when t*e >= a(i)*denom,
+    so from t0 = ceil(a(i)*denom/e) = ceil(m*s/e) - 1 on they cover the
+    ray [t0*a(i)/m, oo).
     """
-    rows = _nontrivial_rows(b)
+    rows = [(i, m, lhs - rhs) for i, _, m, lhs, rhs in criterion_failures(b, half=False)]
     if not rows:
         return rows, None, None, None
     s = sum(b) - 1
-    ray, gaps = dilate_gaps([(b[i], m, s, denom) for i, m, denom in rows], lo, hi)
+    num, den = 1, 0  # +oo: the first row's ray replaces it
+    for i, m, e in rows:
+        if (ray := (-(-m * s // e) - 1) * b[i]) * den < num * m:
+            num, den = ray, m
+    gaps = range(lo, min(-(-num // den), hi) + 1)
+    for i, m, e in rows:
+        ai = b[i]
+        gaps = [y for y in gaps if y * e <= s * (y * m % ai)]
     hollow = [y for y in gaps if y >= 2 and is_asymptotically_hollow(sorted(b + (y,)))]
-    return rows, ray, gaps, tuple(hollow)
+    return rows, (num, den), tuple(gaps), tuple(hollow)
 
 
 class PrefixReport(NamedTuple):

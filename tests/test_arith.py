@@ -1,6 +1,4 @@
-import math
 import os
-import random
 import signal
 import subprocess
 import sys
@@ -9,9 +7,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import in_dilate
-from oracle import ray_start
 import hollowsimplex
-from hollowsimplex.arith import dilate_gaps, parallel_map, rem_pos
+from hollowsimplex.arith import parallel_map, rem_pos
 from hollowsimplex.proscriptive import HalfOpenInterval
 
 
@@ -46,116 +43,6 @@ def test_interval_emptiness():
     assert (iv.lo, iv.hi) == (Fraction(38), Fraction(44))
     assert in_dilate(38, iv, 1) and in_dilate(43, iv, 1) and not in_dilate(44, iv, 1)
     assert in_dilate(76, iv, 2) and not in_dilate(88, iv, 2)
-
-
-# The scaled union of intervals is the union of all their positive integer
-# dilates; `dilate_gaps` decides it on integer bounds (p, q, u, v) of
-# [p/q, u/v). These tests check it against the oracle's ray start and
-# against membership in each dilate, tested one t at a time.
-
-
-def test_scaled_union_single_interval_gaps():
-    (num, den), gaps = dilate_gaps([(38, 1, 44, 1)])
-    expected = (
-        list(range(1, 38))
-        + list(range(44, 76))
-        + list(range(88, 114))
-        + list(range(132, 152))
-        + list(range(176, 190))
-        + list(range(220, 228))
-        + list(range(264, 266))
-    )
-    assert list(gaps) == expected
-    assert Fraction(num, den) == ray_start(Fraction(38), Fraction(44)) == 266
-
-
-def _in_some_dilate(intervals, y):
-    # t*hi <= y for every t <= floor(y/hi), so only t in [floor(y/hi), floor(y/lo)]
-    # can hold y; in_dilate decides each of them
-    return any(
-        in_dilate(y, iv, t)
-        for iv in intervals
-        if not iv.is_empty
-        for t in range(max(math.floor(y / iv.hi), 1), math.floor(y / iv.lo) + 1)
-    )
-
-
-def _random_interval(rng):
-    lo = Fraction(rng.randint(5, 40), rng.randint(1, 3))
-    if rng.random() < 0.25:
-        return HalfOpenInterval(lo, lo - Fraction(rng.randint(0, 5), rng.randint(1, 4)))
-    return HalfOpenInterval(lo, lo + Fraction(rng.randint(1, 8), rng.randint(1, 4)))
-
-
-def _least_ray_by_search(iv):
-    # the first t whose dilate reaches the next one: t*hi >= (t+1)*lo
-    t = 1
-    while t * iv.hi < (t + 1) * iv.lo:
-        t += 1
-    return t * iv.lo
-
-
-def test_scaled_union_gap_soundness():
-    # the kernel takes the nonempty intervals; the reference sees them all
-    rng = random.Random(2020)
-    checked = 0
-    for _ in range(300):
-        intervals = [_random_interval(rng) for _ in range(rng.randint(1, 6))]
-        live = [iv for iv in intervals if not iv.is_empty]
-        if not live:
-            continue
-        bounds = [(*iv.lo.as_integer_ratio(), *iv.hi.as_integer_ratio()) for iv in live]
-        (num, den), gaps = dilate_gaps(bounds)
-        rays = [ray_start(iv.lo, iv.hi) for iv in live]
-        assert rays == [_least_ray_by_search(iv) for iv in live]
-        least = min(rays)
-        assert Fraction(num, den) == least
-        for y in range(1, math.ceil(least) + 1):
-            assert _in_some_dilate(intervals, y) == (y not in gaps), (intervals, y)
-        assert all(g < least for g in gaps)
-        checked += 1
-    assert checked > 270
-
-
-def test_scaled_union_ray_membership():
-    iv = HalfOpenInterval(Fraction(29, 3), Fraction(132, 13))
-    (num, den), _ = dilate_gaps([(29, 3, 132, 13)])
-    assert Fraction(num, den) == ray_start(iv.lo, iv.hi)
-    base = -(-num // den)
-    for z in range(base, base + 100):
-        assert _in_some_dilate([iv], z)
-
-
-def test_dilate_gaps_takes_unreduced_bounds():
-    # bounds scaled by arbitrary factors, and a window [lo, hi] of the gaps
-    rng, window = random.Random(15), random.Random(17)
-    for _ in range(200):
-        live = [iv for iv in (_random_interval(rng) for _ in range(rng.randint(1, 6)))
-                if not iv.is_empty]
-        if not live:
-            continue
-        bounds = []
-        for iv in live:
-            c, e = rng.randint(1, 5), rng.randint(1, 5)
-            bounds.append((c * iv.lo.numerator, c * iv.lo.denominator,
-                           e * iv.hi.numerator, e * iv.hi.denominator))
-        (num, den), gaps = dilate_gaps(bounds)
-        least = min(ray_start(iv.lo, iv.hi) for iv in live)
-        horizon = math.ceil(least)
-        assert Fraction(num, den) == least
-        assert gaps == tuple(y for y in range(1, horizon + 1) if not _in_some_dilate(live, y))
-        # the exact pair (t0*p, q) of one of the bounds, as given
-        assert any(den == q and num % p == 0 for p, q, _, _ in bounds)
-        lo = window.randint(1, horizon)
-        hi = window.randint(lo - 1, horizon + 2)
-        assert dilate_gaps(bounds, lo, hi) == ((num, den), tuple(y for y in gaps if lo <= y <= hi))
-
-
-def test_ray_start_formula():
-    for (p, q, u, v), ray in (((38, 1, 44, 1), 266), ((2, 1, 3, 1), 4), ((3, 1, 4, 1), 9),
-                              ((29, 3, 132, 13), Fraction(580, 3))):
-        (num, den), _ = dilate_gaps([(p, q, u, v)])
-        assert Fraction(num, den) == ray == ray_start(Fraction(p, q), Fraction(u, v))
 
 
 THREADS = 2

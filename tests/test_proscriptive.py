@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -7,11 +8,11 @@ import pytest
 from conftest import in_dilate
 from oracle import asymptotically_hollow, ray_start, rem, trivial_by_remainders
 
-from hollowsimplex.arith import dilate_gaps
 from hollowsimplex.asymptotic import is_asymptotically_hollow
 from hollowsimplex.proscriptive import (
     HalfOpenInterval,
     candidate_extensions,
+    extension_search,
     nontrivial_data,
     proscriptive_datum,
 )
@@ -71,15 +72,18 @@ def test_g_row_identity():
                 assert lhs == m * (s + 1 - ai) - (d.f - (m - 1)) * ai, (b, i, m)
 
 
+# In the 4-entry prefixes a residue-one certificate skips an entry while
+# other data stay nontrivial: in (10, 5, 4, 3) the whole complement
+# certifies 3, the proper subset {5} certifies 4, and 2 data remain.
+_CERTIFIED = [(10, 5, 4, 3), (11, 11, 5, 2), (9, 5, 5, 3), (10, 9, 5, 4), (12, 11, 6, 4)]
+_PREFIXES = [*combinations_with_replacement(range(1, 13), 2),
+             *combinations_with_replacement(range(2, 9), 3), *_CERTIFIED]
+_BOTH_ORDERS = _PREFIXES + [b[::-1] for b in _PREFIXES]
+
+
 def test_triviality_equivalence_both_ways():
-    # In the 4-entry prefixes a residue-one certificate skips an entry while
-    # other data stay nontrivial: in (10, 5, 4, 3) the whole complement
-    # certifies 3, the proper subset {5} certifies 4, and 2 data remain.
-    certified = [(10, 5, 4, 3), (11, 11, 5, 2), (9, 5, 5, 3), (10, 9, 5, 4), (12, 11, 6, 4)]
-    prefixes = [*combinations_with_replacement(range(1, 13), 2),
-                *combinations_with_replacement(range(2, 9), 3), *certified]
     # nontrivial_data keeps the order of b, as proscribe passes it
-    for b in prefixes + [b[::-1] for b in prefixes]:
+    for b in _BOTH_ORDERS:
         for i, ai in enumerate(b):
             for m in range(1, max(ai, 2)):
                 datum = proscriptive_datum(b, i, m)
@@ -171,8 +175,6 @@ def test_classify_search_path_matches_the_report_on_a_grid():
     # the integer path classify runs, against the records extend prints and
     # the rational ray starts of their intervals; windowed as classify asks,
     # it returns the full search restricted to the window
-    from hollowsimplex.proscriptive import extension_search
-
     for a in range(2, 13):
         for x in range(a, 80):
             report = candidate_extensions((a, x))
@@ -189,6 +191,103 @@ def test_classify_search_path_matches_the_report_on_a_grid():
                 assert w_candidates == tuple(y for y in candidates if x <= y <= hi)
 
 
+def _proscribed(y, data):
+    # t*hi <= y for every t <= floor(y/hi) and t*lo > y for every t >
+    # floor(y/lo), so only the t in between can hold y; in_dilate decides them
+    for d in data:
+        lo, hi = d.interval
+        for t in range(y * hi.denominator // hi.numerator + 1,
+                       y * lo.denominator // lo.numerator + 1):
+            if in_dilate(y, d.interval, t):
+                return True
+    return False
+
+
+def _dilate_prefixes():
+    # every pair prefix with a <= 12 and x < 80, and seeded random 3- and
+    # 4-entry ones
+    rng = random.Random(21)
+    return [*((a, x) for a in range(1, 13) for x in range(a, 80)),
+            *(tuple(sorted(rng.randint(2, 40) for _ in range(k)))
+              for k in (3, 4) for _ in range(60))]
+
+
+def test_search_single_row_gaps():
+    # (3, 2) has the one row (0, 1, 1), the interval [3, 4): 1*y <= 3*(y mod 3)
+    # keeps 1, 2, 4, 5 and 8, the open right end of the dilate [6, 8), and
+    # from t = 3 on the dilates [3t, 4t) meet, so the ray starts at 9
+    rows, ray, gaps, _ = extension_search((3, 2))
+    assert rows == [(0, 1, 1)]
+    assert proscriptive_datum((3, 2), 0, 1).interval == HalfOpenInterval(3, 4)
+    assert gaps == (1, 2, 4, 5, 8)
+    assert gaps == tuple(y for y in range(1, 10)
+                         if not any(in_dilate(y, HalfOpenInterval(3, 4), t) for t in range(1, 4)))
+    assert Fraction(*ray) == ray_start(Fraction(3), Fraction(4)) == 9
+
+
+def test_search_gaps_match_the_dilates():
+    # A row (i, m, e) keeps y exactly when y*e <= s*(y*m mod a(i)); against
+    # the dilates of every nontrivial datum's interval, one t at a time, for
+    # every y up to the horizon. Equality, y at the open right end of a
+    # dilate, is common and kept.
+    for b in _dilate_prefixes():
+        rows, ray, gaps, _ = extension_search(b)
+        data = nontrivial_data(b)
+        assert [(d.index, d.m) for d in data] == [row[:2] for row in rows], b
+        if ray is None:
+            continue
+        gaps = set(gaps)
+        for y in range(1, math.ceil(Fraction(*ray)) + 1):
+            assert _proscribed(y, data) == (y not in gaps), (b, y)
+
+
+def test_search_ray_is_the_least_dilate_ray():
+    # The exact ray is the least of the oracle's ray starts of the data, and
+    # the integers from the horizon on all lie in a dilate; no ray exactly
+    # when every datum is trivial and the prefix is hollow.
+    for b in _dilate_prefixes():
+        ray = extension_search(b)[1]
+        data = nontrivial_data(b)
+        if ray is None:
+            assert not data and asymptotically_hollow(b), b
+            continue
+        assert Fraction(*ray) == min(ray_start(*d.interval) for d in data), b
+        horizon = math.ceil(Fraction(*ray))
+        assert all(_proscribed(z, data) for z in range(horizon, horizon + 20)), b
+
+
+def test_ray_start_formula():
+    # a row's ray starts at (ceil(m*s/e) - 1)*a(i)/m: from t0 = ceil(m*s/e) - 1
+    # on, each dilate of [a(i)/m, s/denom) reaches the next
+    for b, (i, m), ray in (((29, 38, 66), (1, 1), 266), ((2, 2), (0, 1), 4),
+                           ((3, 2), (0, 1), 9), ((29, 38, 66), (0, 3), Fraction(580, 3))):
+        s = sum(b) - 1
+        [e] = [row[2] for row in extension_search(b)[0] if row[:2] == (i, m)]
+        start = Fraction((-(-m * s // e) - 1) * b[i], m)
+        assert start == ray == ray_start(*proscriptive_datum(b, i, m).interval), b
+    # (3, 2) has one row and (2, 2) two equal ones: the search's ray is theirs
+    assert extension_search((3, 2))[1] == (9, 1)
+    assert extension_search((2, 2))[1] == (4, 1)
+
+
+def test_row_excess_is_the_datum_identity():
+    # a(i)*denom = m*s - e for every (i, m): positive exactly when the datum
+    # is nontrivial, and for m < a(i) the criterion's lhs - rhs, which is
+    # the search row's e exactly when the pair fails
+    for b in _BOTH_ORDERS:
+        s = sum(b) - 1
+        rows = {(i, m): e for i, m, e in extension_search(b)[0]}
+        for i, ai in enumerate(b):
+            for m in range(1, 2 * ai + 1):
+                d = proscriptive_datum(b, i, m)
+                excess = m * s - ai * d.denom
+                assert (excess > 0) == (not d.trivial), (b, i, m)
+                if m < ai:
+                    lhs = sum(rem(ai, m * aj) for j, aj in enumerate(b) if j != i)
+                    assert excess == lhs - (m + (len(b) - 2) * ai), (b, i, m)
+                    assert rows.get((i, m)) == (excess if excess > 0 else None), (b, i, m)
+
+
 def test_all_trivial_iff_prefix_hollow():
     for length in (2, 3):
         for b in combinations_with_replacement(range(1, 21), length):
@@ -199,18 +298,25 @@ def test_all_trivial_iff_prefix_hollow():
 def test_worked_extension_narrative():
     """The hand computation for entries 29, 38, 66, step by step.
 
-    The first nontrivial interval is [38, 44); its dilates plus the t = 1
+    The first nontrivial interval is [38, 44), the search's row (1, 1, 18),
+    which keeps y exactly when 18*y <= 132*(y mod 38); its dilates plus the t = 1
     inequality mod 38 leave {2..11} plus {44..49} (the hand account drops
     44, which sits at the open right endpoint 132/3 of the undilated
     interval and only dies at the next step). The t = 3 inequality mod 29
     then cuts to {2, 3, 10, 11, 49}, and the dilates of [29/3, 132/13)
     remove 10 (t = 1) and 49 (t = 5), leaving exactly {2, 3, 11}.
     """
-    first = HalfOpenInterval(38, 44)
-    ray, step1 = dilate_gaps([(38, 1, 44, 1)])
-    assert Fraction(*ray) == ray_start(*first) == 266
-    assert step1 == tuple(y for y in range(1, 267)
-                          if not any(in_dilate(y, first, t) for t in range(1, 8)))
+    b, first = (29, 38, 66), HalfOpenInterval(38, 44)
+    s = sum(b) - 1
+    [(i, m, e)] = [row for row in extension_search(b)[0] if row[:2] == (1, 1)]
+    assert (b[i], m, e) == (38, 1, 18) and proscriptive_datum(b, i, m).interval == first
+    ray = (-(-m * s // e) - 1) * b[i]
+    assert ray == ray_start(*first) == 266
+    step1 = [y for y in range(1, ray + 1) if y * e <= s * (y * m % b[i])]
+    assert step1 == [*range(1, 38), *range(44, 76), *range(88, 114), *range(132, 152),
+                     *range(176, 190), *range(220, 228), *range(264, 266)]
+    assert step1 == [y for y in range(1, 267)
+                     if not any(in_dilate(y, first, t) for t in range(1, 8))]
     survivors = [y for y in step1 if y >= 2 and rem(38, y) <= 11]
     assert survivors == list(range(2, 12)) + list(range(44, 50))
 
