@@ -12,7 +12,7 @@ time one of its names (or the submodule itself) is looked up here, so
 """
 
 _EXPORTS = {
-    "arith": ("rem_pos",),
+    "arith": (),
     "asymptotic": (
         "AgreementReport",
         "CriterionWitness",
@@ -52,7 +52,6 @@ _EXPORTS = {
         "EdgePointError",
         "FacetVolumes",
         "LatticePointReport",
-        "PairWitness",
         "SimplexSpec",
         "empty_sufficient",
         "enumerate_non_extreme_points",
@@ -61,7 +60,6 @@ _EXPORTS = {
         "first_interior_point",
         "is_empty",
         "is_hollow",
-        "pair_interior_witness",
         "width_one",
         "width_one_functional",
         "width_upper_bound",

@@ -1,8 +1,8 @@
 """Exact integer primitives, and the one process pool.
 
-Everything downstream leans on a few kernels: the shifted remainder that
-lands in {1, ..., x} instead of {0, ..., x-1} and its sums, and subset
-sums. No float ever enters a comparison and no rational is built here.
+Everything downstream leans on a few kernels: sums of remainders shifted
+into {1, ..., x} instead of {0, ..., x-1}, and subset sums. No float ever
+enters a comparison and no rational is built here.
 """
 
 from __future__ import annotations
@@ -12,20 +12,9 @@ from itertools import combinations
 from typing import Callable, Iterable, Iterator, NoReturn, Sequence
 
 
-def rem_pos(x: int, y: int) -> int:
-    """Remainder of y modulo x shifted into {1, ..., x}.
-
-    Identical to y % x except that multiples of x map to x rather than 0.
-    Requires x >= 2; y may be any integer.
-    """
-    if x < 2:
-        raise ValueError(f"modulus must be >= 2, got {x}")
-    r = y % x
-    return x if r == 0 else r
-
-
 def remainder_sum(entry: int, others: Iterable[int], t: int) -> int:
-    """Sum of rem_pos(entry, t*x) over x in others: the criterion's left side."""
+    """The criterion's left side: the sum of rem_pos(entry, t*x) over x in others,
+    that is of t*x mod entry shifted into {1, ..., entry} (a multiple counts entry)."""
     total = 0
     for x in others:
         r = t * x % entry

@@ -4,7 +4,9 @@ A tuple a = (a(1), ..., a(n-1)) is asymptotically hollow when the simplices
 of (a; N) are hollow for infinitely many N. That holds exactly when, for
 every entry a(i) >= 2 and every multiplier t in [1, a(i) - 1],
 
-    sum over j != i of rem_pos(a(i), t*a(j))  <=  t + (n-3)*a(i).
+    sum over j != i of rem_pos(a(i), t*a(j))  <=  t + (n-3)*a(i),
+
+where rem_pos(x, y) is y mod x shifted into {1, ..., x}.
 
 Once N clears the stability threshold C the hollowness of (a; N) no longer
 depends on N (for rows of content 1), which `agreement_sweep` checks against
@@ -19,14 +21,23 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 from .arith import parallel_map, remainder_sum, subset_sums
 
 
-def ascending(a: Sequence[int]) -> tuple[int, ...]:
-    """Canonical ascending form; the criterion is permutation invariant."""
-    t = tuple(sorted(int(v) for v in a))
+def entries(a: Sequence[int]) -> tuple[int, ...]:
+    """a as a tuple of ints in the given order: at least two entries, all positive.
+
+    The one home of this rule for the criterion, `proscriptive` and the CLI's
+    tuple commands; `SimplexSpec` checks its own (a; d).
+    """
+    t = tuple(int(v) for v in a)
     if len(t) < 2:
-        raise ValueError("need at least two entries")
-    if t[0] < 1:
+        raise ValueError(f"need at least two entries, got {t}")
+    if min(t) < 1:
         raise ValueError(f"entries must be positive, got {t}")
     return t
+
+
+def ascending(a: Sequence[int]) -> tuple[int, ...]:
+    """Canonical ascending form; the criterion is permutation invariant."""
+    return tuple(sorted(entries(a)))
 
 
 class CriterionWitness(NamedTuple):
@@ -165,6 +176,8 @@ def sample_tuples(
         raise ValueError(f"count must be positive, got {count}")
     if not lengths:
         raise ValueError("no tuple lengths to sample from")
+    if min(lengths) < 2:
+        raise ValueError(f"tuple lengths must be at least 2, got {min(lengths)}")
     if not 1 <= low <= high:
         raise ValueError(f"need 1 <= low <= high, got low={low}, high={high}")
     rng = random.Random(seed)

@@ -48,10 +48,6 @@ class TripleSet(NamedTuple):
         rest = sorted({t for t in triples if not (t[0] == 2 and t[2] == t[1] + 1)})
         return cls(sporadic=tuple(rest), family_xs=tuple(family))
 
-    def all_triples(self) -> tuple[Triple, ...]:
-        family = [(2, x, x + 1) for x in self.family_xs]
-        return tuple(sorted(set(self.sporadic) | set(family)))
-
 
 def _search_prefix(args: tuple[int, int, int]) -> list[Triple]:
     # Imported on use: the doubling family never needs the extension search.

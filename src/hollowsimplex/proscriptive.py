@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
-from .asymptotic import ascending, criterion_failures, is_asymptotically_hollow
+from .asymptotic import ascending, criterion_failures, entries, is_asymptotically_hollow
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -85,15 +85,6 @@ class ProscriptiveDatum(NamedTuple):
         return self.interval.is_empty
 
 
-def _validate_prefix(b: Sequence[int]) -> tuple[int, ...]:
-    b = tuple(int(v) for v in b)
-    if len(b) < 2:
-        raise ValueError("prefix needs at least two entries")
-    if any(v < 1 for v in b):
-        raise ValueError(f"prefix entries must be positive, got {b}")
-    return b
-
-
 def _datum(b: tuple[int, ...], i: int, m: int) -> ProscriptiveDatum:
     from fractions import Fraction
 
@@ -107,7 +98,7 @@ def _datum(b: tuple[int, ...], i: int, m: int) -> ProscriptiveDatum:
 
 def proscriptive_datum(b: Sequence[int], i: int, m: int) -> ProscriptiveDatum:
     """The (i, m) datum of prefix b; i is 0-based and m any positive integer."""
-    b = _validate_prefix(b)
+    b = entries(b)
     if not 0 <= i < len(b):
         raise ValueError(f"index must lie in [0, {len(b) - 1}]")
     if m < 1:
@@ -117,7 +108,7 @@ def proscriptive_datum(b: Sequence[int], i: int, m: int) -> ProscriptiveDatum:
 
 def nontrivial_data(b: Sequence[int]) -> tuple[ProscriptiveDatum, ...]:
     """All nonempty-interval data, in the order of b and then of m < a(i)."""
-    b = _validate_prefix(b)
+    b = entries(b)
     return tuple(_datum(b, i, m) for i, _, m, _, _ in criterion_failures(b, half=False))
 
 

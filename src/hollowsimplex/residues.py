@@ -2,7 +2,9 @@
 
 For integers x, r > 1 the set collects the z in {1, ..., x} with
 
-    rem_pos(x, z*t) <= x - (r-1)*t   for every t <= x/r.
+    rem_pos(x, z*t) <= x - (r-1)*t   for every t <= x/r,
+
+where rem_pos(x, y) is y mod x shifted into {1, ..., x}.
 
 The exempt variant ignores multipliers t at which z*t is divisible by x.
 Once x >= r*r the strict set collapses to a three-branch closed form, which

@@ -435,35 +435,3 @@ def width_upper_bound(spec: SimplexSpec) -> int:
     h = math.gcd(sum(spec.a), d)
     aug = 1 if h == d else h if h > 1 else 2
     return min(aug, *(math.gcd(ai, d) for ai in spec.a))
-
-
-class PairWitness(NamedTuple):
-    """Interior point produced by the three-dimensional construction."""
-
-    point: tuple[int, int, int]
-    lambda_sum: Fraction
-
-
-def pair_interior_witness(a: int, x: int, big_n: int) -> Optional[PairWitness]:
-    """Interior lattice point of the simplex of (a, x; N) for large N.
-
-    Writes N = m*x + r with 1 <= r <= x and proposes the point (1, 1, m)
-    with exact coordinate sum (N - m*a + r + m)/N. The witness is returned
-    only when (N - x)(a - 1) >= x^2 and the sum is strictly below 1; the
-    construction can land exactly on the boundary (sum = 1), in which case
-    None is returned.
-    """
-    if not 2 <= a <= x:
-        raise ValueError(f"need 2 <= a <= x, got a={a}, x={x}")
-    if big_n < 1:
-        raise ValueError(f"N must be positive, got {big_n}")
-    if (big_n - x) * (a - 1) < x * x:
-        return None
-    r = big_n % x or x
-    m = (big_n - r) // x
-    from fractions import Fraction
-
-    lam = Fraction(big_n - m * a + r + m, big_n)
-    if lam >= 1:
-        return None
-    return PairWitness(point=(1, 1, m), lambda_sum=lam)

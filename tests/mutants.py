@@ -1,0 +1,102 @@
+"""Mutation gate: each mutant below must make the test suite fail.
+
+An entry is (file under src/hollowsimplex, anchor, replacement, defect). The
+anchor must occur in its file exactly once; a missing or repeated anchor is
+an error, never a skip, so a refactor that moves one updates it here on
+purpose. For each entry the script copies src/ to a temporary directory,
+applies the one replacement there, and runs `python -m pytest -x -q` on
+tests/ with PYTHONPATH on the copy. The mutant is killed when pytest exits
+1 (a test failed); any other outcome, a timeout included, fails the gate.
+
+    python tests/mutants.py
+
+It assumes the unmutated suite passes, which the tier-1 run checks first.
+Standard library only; pytest does not collect this file.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 120
+
+MUTANTS = (
+    ("arith.py", "total += r if r else entry", "total += r",
+     "remainder_sum counts a multiple of the entry as 0"),
+    ("proscriptive.py", "min(-(-num // den), hi) + 1)", "min(-(-num // den), hi))",
+     "the extension search's window excludes its upper end"),
+    ("proscriptive.py", "y * e <= s * (y * m % ai)", "y * e < s * (y * m % ai)",
+     "the gap test proscribes y at y*e == s*(y*m mod a(i))"),
+    ("asymptotic.py", "ai // 2 if half", "ai // 2 - 1 if half",
+     "the witness's half range stops at a(i)//2 - 1"),
+    ("asymptotic.py", "sum(others) % entry == 1 or", "sum(others) % entry in (1, 2) or",
+     "the residue-one certificate accepts residue 2"),
+    ("simplex.py", "(d, d - 1) if interior", "(d, d) if interior",
+     "the stretch walk's interior bound admits boundary points"),
+    ("residues.py", "if r != 2 or x % 4 == 2:", "if True:",
+     "closed_form_members loses its r = 2 branch"),
+    ("arith.py", "jobs[k::k]]", "jobs[k:-1:k]]",
+     "parallel_map drops the last job of the calling process's share"),
+    ("simplex.py", "scale * charge < hi * excess:", "scale * charge < hi * excess - 1:",
+     "_hollow_by_n drops a cell that can hold an interior point"),
+    ("asymptotic.py", "if min(t) < 1:", "if min(t) < 0:",
+     "the entry-tuple rule accepts 0"),
+)
+
+
+def anchor_errors() -> list[str]:
+    """One line for each anchor that does not occur exactly once in its file."""
+    errors = []
+    for file, anchor, _, _ in MUTANTS:
+        found = (ROOT / "src" / "hollowsimplex" / file).read_text().count(anchor)
+        if found != 1:
+            errors.append(f"anchor {anchor!r} occurs {found} times in {file}, not once")
+    return errors
+
+
+def run(file: str, anchor: str, replacement: str) -> tuple[bool, str]:
+    """(killed, outcome) of one mutant."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        path = src / "hollowsimplex" / file
+        path.write_text(path.read_text().replace(anchor, replacement))
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+        try:
+            code = subprocess.run(
+                [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "tests"],
+                cwd=ROOT, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+                timeout=TIMEOUT_S,
+            ).returncode
+        except subprocess.TimeoutExpired:
+            return False, f"timed out after {TIMEOUT_S} s"
+    if code == 1:
+        return True, "killed"
+    return False, "survived" if code == 0 else f"pytest exit code {code}"
+
+
+def main() -> int:
+    errors = anchor_errors()  # all checked before any mutant runs
+    for line in errors:
+        print(f"error: {line}", file=sys.stderr)
+    if errors:
+        return 2
+    failed = 0
+    for file, anchor, replacement, defect in MUTANTS:
+        started = time.monotonic()
+        killed, outcome = run(file, anchor, replacement)
+        failed += not killed
+        print(f"{outcome} in {time.monotonic() - started:.1f} s: {file}: {defect}", flush=True)
+    print(f"{len(MUTANTS) - failed} of {len(MUTANTS)} mutants killed")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -8,31 +8,8 @@ import pytest
 
 from conftest import in_dilate
 import hollowsimplex
-from hollowsimplex.arith import parallel_map, rem_pos
+from hollowsimplex.arith import parallel_map
 from hollowsimplex.proscriptive import HalfOpenInterval
-
-
-def test_rem_pos_examples():
-    assert rem_pos(12, 5) == 5
-    assert rem_pos(5, 10) == 5
-    assert rem_pos(7, 8) == 1
-
-
-def test_rem_pos_rejects_small_modulus():
-    with pytest.raises(ValueError):
-        rem_pos(1, 5)
-    with pytest.raises(ValueError):
-        rem_pos(0, 5)
-
-
-def test_rem_pos_periodicity_and_range():
-    for x in range(2, 40):
-        for y in range(-80, 81):
-            r = rem_pos(x, y)
-            assert 1 <= r <= x
-            assert (r - y) % x == 0
-            assert rem_pos(x, y + x) == r
-            assert (r == x) == (y % x == 0)
 
 
 def test_interval_emptiness():

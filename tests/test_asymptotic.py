@@ -1,6 +1,8 @@
 import random
 from itertools import combinations_with_replacement, permutations
 
+import pytest
+
 from oracle import criterion_sides, failures, rem
 
 from hollowsimplex.arith import remainder_sum, subset_sums
@@ -11,11 +13,13 @@ from hollowsimplex.asymptotic import (
     ascending,
     criterion_failures,
     criterion_witness,
+    entries,
     is_asymptotically_hollow,
     robust_stability_point,
     sample_tuples,
     stability_thresholds,
 )
+from hollowsimplex.proscriptive import candidate_extensions, nontrivial_data, proscriptive_datum
 from hollowsimplex.simplex import SimplexSpec, _hollow_by_n, is_hollow
 
 
@@ -235,3 +239,16 @@ def test_sample_tuples_deterministic():
         assert 3 <= len(a) <= 4
         assert all(2 <= v <= 12 for v in a)
         assert a == ascending(a)
+
+
+def test_entries_is_the_one_tuple_rule():
+    assert entries([15, 6.0, True]) == (15, 6, 1)  # ints, in the given order
+    assert ascending([15, 6, 10]) == (6, 10, 15)
+    takers = (entries, ascending, criterion_witness, stability_thresholds,
+              robust_stability_point, nontrivial_data, candidate_extensions,
+              lambda b: proscriptive_datum(b, 0, 1))
+    for bad, message in (((5,), r"^need at least two entries, got \(5,\)$"),
+                         ((3, 0), r"^entries must be positive, got \(3, 0\)$")):
+        for take in takers:
+            with pytest.raises(ValueError, match=message):
+                take(bad)

@@ -48,7 +48,8 @@ def test_triple_set_partition():
     ts = TripleSet.from_triples([(2, 3, 4), (2, 3, 5), (6, 10, 15), (2, 2, 3)])
     assert ts.family_xs == (2, 3)
     assert ts.sporadic == ((2, 3, 5), (6, 10, 15))
-    assert (2, 3, 4) in ts.all_triples()
+    family = tuple((2, x, x + 1) for x in ts.family_xs)
+    assert TripleSet.from_triples(ts.sporadic + family) == ts
 
 
 def test_reference_triples_boxes():
@@ -111,5 +112,6 @@ def test_classify_threads_deterministic():
 
 
 def test_every_reference_triple_passes_criterion():
-    for t in reference_triples(60).all_triples():
+    ref = reference_triples(60)
+    for t in ref.sporadic + tuple((2, x, x + 1) for x in ref.family_xs):
         assert is_asymptotically_hollow(t), t

@@ -191,7 +191,7 @@ def test_proscribe_index_out_of_range(capsys):
         assert capsys.readouterr() == ("", "error: index must lie in [0, 1]\n")
 
 
-def test_invalid_inputs_exit_two():
+def test_invalid_inputs_exit_two(capsys):
     assert run_cli(["asym", "--tuple", "6,x,15"])[0] == 2
     assert run_cli(["hollow", "--alpha", "3,5,7"])[0] == 2
     assert run_cli(["sset", "--x", "5", "--r", "3"])[0] == 2
@@ -211,6 +211,17 @@ def test_invalid_inputs_exit_two():
     assert run_cli(["agree", "--threads", "0"])[0] == 2
     too_many = str((os.cpu_count() or 1) + 1)
     assert run_cli(["agree", "--threads", too_many])[0] == 2
+    # The entry-tuple rule has one home, so each tuple command refuses a
+    # short or nonpositive tuple with the same line.
+    for text, line in (("5", "error: need at least two entries, got (5,)\n"),
+                       ("3,0", "error: entries must be positive, got (3, 0)\n")):
+        for command in ("asym", "thresholds", "proscribe", "extend"):
+            capsys.readouterr()
+            assert run_cli([command, "--tuple", text]) == (2, ""), command
+            assert capsys.readouterr().err == line, command
+    # a length below 2 is refused before any tuple is sampled, by name
+    assert run_cli(["agree", "--min-len", "1"]) == (2, "")
+    assert capsys.readouterr().err == "error: tuple lengths must be at least 2, got 1\n"
 
 
 # Each command with its required options, and every option it then parses

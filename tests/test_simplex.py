@@ -25,7 +25,6 @@ from hollowsimplex.simplex import (
     first_interior_point,
     is_empty,
     is_hollow,
-    pair_interior_witness,
     width_one,
     width_one_functional,
     width_upper_bound,
@@ -358,29 +357,32 @@ def test_width_upper_bound_matches_unit_scan():
             assert width_upper_bound(spec) == expected, spec
 
 
+def _pair_construction(a, x, n):
+    """The dimension-three construction for (a, x; N): N = m*x + r with
+    1 <= r <= x, the point (1, 1, m) and its coordinate sum (N - m*a + r + m)/N."""
+    r = n % x or x
+    m = (n - r) // x
+    return (1, 1, m), Fraction(n - m * a + r + m, n)
+
+
 def test_pair_witness_examples():
-    w = pair_interior_witness(2, 3, 13)
-    assert w.point == (1, 1, 4) and w.lambda_sum == Fraction(10, 13)
-    assert pair_interior_witness(2, 3, 12) is None  # lands exactly on the boundary
-    assert pair_interior_witness(2, 3, 5) is None  # hypothesis fails
-    with pytest.raises(ValueError):
-        pair_interior_witness(1, 3, 10)
-    with pytest.raises(ValueError):
-        pair_interior_witness(4, 3, 10)
+    point, lam = _pair_construction(2, 3, 13)
+    assert point == (1, 1, 4) and lam == Fraction(10, 13)
+    # the k-scan finds the same point at height k = m
+    assert first_interior_point(SimplexSpec((2, 3), 13)) == (4, point, INTERIOR, lam)
+    assert _pair_construction(2, 3, 12)[1] == 1  # lands exactly on the boundary
 
 
 def test_pair_witness_coverage():
-    # whenever the hypothesis holds, either the simplex is non-hollow or the
-    # constructed point sits exactly on the boundary (lambda-sum 1)
+    # whenever (N - x)(a - 1) >= x^2, either the simplex is non-hollow or the
+    # constructed point sits exactly on the boundary (coordinate sum 1)
     for a in range(2, 9):
         for x in range(a, 9):
             for n in range(1, 151):
                 if (n - x) * (a - 1) < x * x:
                     continue
-                w = pair_interior_witness(a, x, n)
-                if w is not None:
+                lam = _pair_construction(a, x, n)[1]
+                if lam < 1:
                     assert not is_hollow(SimplexSpec((a, x), n)), (a, x, n)
                 else:
-                    r = n % x or x
-                    m = (n - r) // x
-                    assert Fraction(n - m * a + r + m, n) == 1, (a, x, n)
+                    assert lam == 1, (a, x, n)
