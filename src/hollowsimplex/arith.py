@@ -48,6 +48,8 @@ def parallel_map(fn: Callable, jobs: Sequence, threads: int = 1) -> list:
         raise ValueError(f"threads must lie in [1, {cpus}], got {threads}")
     k = max(1, min(threads, len(jobs))) if hasattr(os, "fork") else 1
     own = [fn(job) for job in jobs[:1]]
+    if k > 1:  # imported before the forks, so that the workers inherit it
+        import pickle
     pids: list[int] = []
     reads: list[int] = []
     try:
@@ -57,7 +59,7 @@ def parallel_map(fn: Callable, jobs: Sequence, threads: int = 1) -> list:
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _worker(fn, jobs[w::k], wr)
+                    _worker(fn, jobs[w::k], wr, pickle.dumps)
             finally:
                 os.close(wr)
             pids.append(pid)
@@ -80,9 +82,6 @@ def parallel_map(fn: Callable, jobs: Sequence, threads: int = 1) -> list:
         if not blob:
             code = os.waitstatus_to_exitcode(status)
             raise RuntimeError(f"worker process ended without a result (exit code {code})")
-        # Imported here so that serial runs never pay for it.
-        import pickle
-
         ok, value = pickle.loads(blob)
         if not ok:
             raise value
@@ -90,19 +89,17 @@ def parallel_map(fn: Callable, jobs: Sequence, threads: int = 1) -> list:
     return results
 
 
-def _worker(fn: Callable, jobs: Sequence, fd: int) -> NoReturn:
-    """Forked worker: write one pickled (ok, results or exception) to fd, exit.
+def _worker(fn: Callable, jobs: Sequence, fd: int, dumps: Callable) -> NoReturn:
+    """Forked worker: write one (ok, results or exception), pickled by dumps, to fd, exit.
 
     os._exit skips the parent's atexit handlers and the flush of the stdio
     buffers the fork copied, which belong to the parent.
     """
-    import pickle
-
     try:
         try:
-            data = pickle.dumps((True, [fn(job) for job in jobs]))
+            data = dumps((True, [fn(job) for job in jobs]))
         except BaseException as exc:  # not swallowed: parallel_map raises it
-            data = pickle.dumps((False, exc))
+            data = dumps((False, exc))
         with open(fd, "wb") as out:
             out.write(data)
     finally:

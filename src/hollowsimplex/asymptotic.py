@@ -24,10 +24,17 @@ from .arith import parallel_map, remainder_sum, subset_sums
 def entries(a: Sequence[int]) -> tuple[int, ...]:
     """a as a tuple of ints in the given order: at least two entries, all positive.
 
-    The one home of this rule for the criterion, `proscriptive` and the CLI's
-    tuple commands; `SimplexSpec` checks its own (a; d).
+    A whole value such as 6.0 or True becomes its int; any other value is
+    refused. The one home of this rule for the criterion, `proscriptive` and
+    the CLI's tuple commands; `SimplexSpec` checks its own (a; d).
     """
-    t = tuple(int(v) for v in a)
+    given = tuple(a)
+    try:
+        t = tuple(map(int, given))
+    except (TypeError, ValueError, OverflowError):
+        t = None
+    if t != given:
+        raise ValueError(f"entries must be integers, got {given}")
     if len(t) < 2:
         raise ValueError(f"need at least two entries, got {t}")
     if min(t) < 1:

@@ -9,10 +9,14 @@ as exact "p/q" strings, never floats.
 
 Arguments are read against the tables GLOBAL_OPTIONS and COMMANDS: global
 options, the command, then its options, as `--name value` or `--name=value`;
-the last of a repeated option wins and no abbreviation is accepted. Each
-handler imports the submodules it computes with, so a launch loads only what
-its subcommand runs and parsing loads none of them; the csv and table output
-and the help text live in `render`, which a json launch does not load.
+the last of a repeated option wins and no abbreviation is accepted. Each value
+is converted once, when it is read: to an int, a choice, a `SimplexSpec` or
+an entry tuple. A handler takes the converted values and returns only its
+payload and verdict; the document's `input` echoes the options by one rule,
+`_echo`. Each handler imports the submodules it computes with, so a launch
+loads only what its subcommand runs, and parsing loads none of them but
+`simplex`, for a spec; the csv and table output and the help text live in
+`render`, which a json launch does not load.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from typing import TYPE_CHECKING, Any, Iterable, Iterator, Optional, Sequence
 
 if TYPE_CHECKING:
     from .proscriptive import ProscriptiveDatum
-    from .simplex import LatticePointReport
+    from .simplex import LatticePointReport, SimplexSpec
 
 
 def parse_tuple(text: str) -> tuple[int, ...]:
@@ -36,17 +40,16 @@ def parse_tuple(text: str) -> tuple[int, ...]:
         raise ValueError(f"malformed tuple {text!r}") from exc
 
 
-def tuple_str(a: Sequence[int]) -> str:
-    return ",".join(str(v) for v in a)
+def parse_spec(text: str) -> SimplexSpec:
+    """The simplex spec 'a1,a2,...:d', checked; `simplex` loads only when a spec is given."""
+    from .simplex import SimplexSpec
+
+    return SimplexSpec.parse(text)
 
 
 def _point_doc(p: LatticePointReport) -> dict[str, Any]:
-    return {
-        "k": p.k,
-        "coords": list(p.coords),
-        "location": p.location,
-        "lambda_sum": str(p.lambda_sum),
-    }
+    return {"k": p.k, "coords": list(p.coords), "location": p.location,
+            "lambda_sum": str(p.lambda_sum)}
 
 
 def _datum_doc(d: ProscriptiveDatum) -> dict[str, Any]:
@@ -56,47 +59,37 @@ def _datum_doc(d: ProscriptiveDatum) -> dict[str, Any]:
     return {**d._asdict(), "g_row": list(d.g_row), "interval": interval, "trivial": d.trivial}
 
 
-def _cmd_hollow(args: SimpleNamespace) -> tuple[dict, dict, Optional[bool]]:
+def _cmd_hollow(args: SimpleNamespace) -> tuple[dict, Optional[bool]]:
     from . import simplex
 
-    spec = simplex.SimplexSpec.parse(args.alpha)
-    hit = simplex.first_interior_point(spec)
-    payload = {
-        "hollow": hit is None,
-        "witness": None if hit is None else _point_doc(hit),
-    }
-    return {"alpha": str(spec)}, payload, hit is None
+    hit = simplex.first_interior_point(args.alpha)
+    payload = {"hollow": hit is None, "witness": None if hit is None else _point_doc(hit)}
+    return payload, hit is None
 
 
-def _cmd_empty(args: SimpleNamespace) -> tuple[dict, dict, Optional[bool]]:
+def _cmd_empty(args: SimpleNamespace) -> tuple[dict, Optional[bool]]:
     from . import simplex
 
-    spec = simplex.SimplexSpec.parse(args.alpha)
-    verdict = simplex.is_empty(spec)
-    payload = {
-        "empty": verdict,
-        "sufficient_reason": simplex.empty_sufficient(spec),
-    }
-    return {"alpha": str(spec)}, payload, verdict
+    verdict = simplex.is_empty(args.alpha)
+    return {"empty": verdict, "sufficient_reason": simplex.empty_sufficient(args.alpha)}, verdict
 
 
-def _cmd_points(args: SimpleNamespace) -> tuple[dict, dict, Optional[bool]]:
+def _cmd_points(args: SimpleNamespace) -> tuple[dict, Optional[bool]]:
     from . import simplex
 
-    spec = simplex.SimplexSpec.parse(args.alpha)
-    pts = simplex.enumerate_non_extreme_points(spec)
+    pts = simplex.enumerate_non_extreme_points(args.alpha)
     payload = {
         "count": len(pts),
         "interior_count": sum(1 for p in pts if p.location == simplex.INTERIOR),
         "points": [_point_doc(p) for p in pts],
     }
-    return {"alpha": str(spec)}, payload, None
+    return payload, None
 
 
-def _cmd_facets(args: SimpleNamespace) -> tuple[dict, dict, Optional[bool]]:
+def _cmd_facets(args: SimpleNamespace) -> tuple[dict, Optional[bool]]:
     from . import simplex
 
-    spec = simplex.SimplexSpec.parse(args.alpha)
+    spec = args.alpha
     fv = simplex.facet_volumes(spec)
     cots = [simplex.facet_cotorsion(spec, i) for i in range(spec.dimension + 1)]
     payload = {
@@ -105,20 +98,18 @@ def _cmd_facets(args: SimpleNamespace) -> tuple[dict, dict, Optional[bool]]:
         "cotorsion_oracle": cots,
         "agrees": list(fv.volumes) == cots,
     }
-    return {"alpha": str(spec)}, payload, None
+    return payload, None
 
 
-def _cmd_width(args: SimpleNamespace) -> tuple[dict, dict, Optional[bool]]:
+def _cmd_width(args: SimpleNamespace) -> tuple[dict, Optional[bool]]:
     from . import simplex
 
-    spec = simplex.SimplexSpec.parse(args.alpha)
+    spec = args.alpha
     subset = simplex.width_one(spec)
     payload: dict[str, Any] = {
         "width_one_subset": None if subset is None else list(subset),
         "width_one_values": None if subset is None else [spec.a[i] for i in subset],
-        "functional": None
-        if subset is None
-        else list(simplex.width_one_functional(spec, subset)),
+        "functional": None if subset is None else list(simplex.width_one_functional(spec, subset)),
     }
     try:
         payload["upper_bound"] = simplex.width_upper_bound(spec)
@@ -126,52 +117,46 @@ def _cmd_width(args: SimpleNamespace) -> tuple[dict, dict, Optional[bool]]:
     except simplex.EdgePointError as exc:
         payload["upper_bound"] = None
         payload["upper_bound_error"] = str(exc)
-    return {"alpha": str(spec)}, payload, None
+    return payload, None
 
 
-def _cmd_asym(args: SimpleNamespace) -> tuple[dict, dict, Optional[bool]]:
+def _cmd_asym(args: SimpleNamespace) -> tuple[dict, Optional[bool]]:
     from . import asymptotic
 
-    a = parse_tuple(args.tuple)
-    witness = asymptotic.criterion_witness(a)
+    witness = asymptotic.criterion_witness(args.tuple)
     payload = {
-        "tuple": list(asymptotic.ascending(a)),
+        "tuple": list(asymptotic.ascending(args.tuple)),
         "asymptotically_hollow": witness is None,
         "witness": None if witness is None else witness._asdict(),
     }
-    return {"tuple": tuple_str(a)}, payload, witness is None
+    return payload, witness is None
 
 
-def _cmd_thresholds(args: SimpleNamespace) -> tuple[dict, dict, Optional[bool]]:
+def _cmd_thresholds(args: SimpleNamespace) -> tuple[dict, Optional[bool]]:
     from . import asymptotic
 
-    a = parse_tuple(args.tuple)
-    th = asymptotic.stability_thresholds(a)
-    payload = {"m_bound": th.m_bound, "M_bound": th.M_bound, "C": th.C}
-    return {"tuple": tuple_str(a)}, payload, None
+    th = asymptotic.stability_thresholds(args.tuple)
+    return {"m_bound": th.m_bound, "M_bound": th.M_bound, "C": th.C}, None
 
 
-def _cmd_proscribe(args: SimpleNamespace) -> tuple[dict, dict, Optional[bool]]:
+def _cmd_proscribe(args: SimpleNamespace) -> tuple[dict, Optional[bool]]:
     from . import proscriptive
 
-    b = parse_tuple(args.tuple)
-    echo = {"tuple": tuple_str(b)}
+    b = args.tuple
     if (args.index is None) != (args.multiplier is None):
         raise ValueError("--index and --multiplier must be given together")
     if args.index is not None:
         datum = proscriptive.proscriptive_datum(b, args.index, args.multiplier)
-        echo.update({"index": args.index, "multiplier": args.multiplier})
-        return echo, {"s": sum(b) - 1, "data": [_datum_doc(datum)]}, None
+        return {"s": sum(b) - 1, "data": [_datum_doc(datum)]}, None
     data = proscriptive.nontrivial_data(b)
     payload = {"s": sum(b) - 1, "nontrivial_count": len(data), "data": [_datum_doc(d) for d in data]}
-    return echo, payload, None
+    return payload, None
 
 
-def _cmd_extend(args: SimpleNamespace) -> tuple[dict, dict, Optional[bool]]:
+def _cmd_extend(args: SimpleNamespace) -> tuple[dict, Optional[bool]]:
     from . import proscriptive
 
-    b = parse_tuple(args.tuple)
-    report = proscriptive.candidate_extensions(b)
+    report = proscriptive.candidate_extensions(args.tuple)
     union, candidates = report.union, report.candidates
     payload = {
         "prefix": list(report.b),
@@ -182,10 +167,10 @@ def _cmd_extend(args: SimpleNamespace) -> tuple[dict, dict, Optional[bool]]:
         "ray_start": None if union is None else str(union.ray_start),
         "candidates": None if candidates is None else list(candidates),
     }
-    return {"tuple": tuple_str(b)}, payload, None
+    return payload, None
 
 
-def _cmd_classify(args: SimpleNamespace) -> tuple[dict, dict, Optional[bool]]:
+def _cmd_classify(args: SimpleNamespace) -> tuple[dict, Optional[bool]]:
     from . import classify
 
     result = classify.classify_triples(
@@ -199,32 +184,21 @@ def _cmd_classify(args: SimpleNamespace) -> tuple[dict, dict, Optional[bool]]:
     if args.check:
         expected = classify.reference_triples(args.x_max, min_entry=args.min_entry)
         expected_sporadic = tuple(t for t in expected.sporadic if t[0] <= args.a_max)
-        verdict = (
-            result.sporadic == expected_sporadic
-            and result.family_xs == expected.family_xs
-        )
+        verdict = result.sporadic == expected_sporadic and result.family_xs == expected.family_xs
         payload["matches_reference"] = verdict
-    echo = {
-        "a_max": args.a_max,
-        "x_max": args.x_max,
-        "min_entry": args.min_entry,
-    }
-    return echo, payload, verdict
+    return payload, verdict
 
 
-def _cmd_family(args: SimpleNamespace) -> tuple[dict, dict, Optional[bool]]:
+def _cmd_family(args: SimpleNamespace) -> tuple[dict, Optional[bool]]:
     from . import classify
 
-    a = classify.doubling_family(args.n)
     checks = classify.verify_family(args.n)
-    payload = {"tuple": list(a), **checks}
-    return {"n": args.n}, payload, all(checks.values())
+    return {"tuple": list(classify.doubling_family(args.n)), **checks}, all(checks.values())
 
 
-def _cmd_sset(args: SimpleNamespace) -> tuple[dict, dict, Optional[bool]]:
+def _cmd_sset(args: SimpleNamespace) -> tuple[dict, Optional[bool]]:
     from . import residues
 
-    echo = {"x": args.x, "r": args.r, "variant": args.variant, "method": args.method}
     payload: dict[str, Any] = {}
     verdict: Optional[bool] = None
     if args.method in ("brute", "both"):
@@ -234,18 +208,16 @@ def _cmd_sset(args: SimpleNamespace) -> tuple[dict, dict, Optional[bool]]:
     if args.method in ("closed", "both"):
         if args.variant != residues.STRICT:
             raise ValueError("closed form exists only for the strict variant")
-        payload["closed_form"] = list(
-            residues.closed_form_remainder_set(args.x, args.r).members
-        )
+        payload["closed_form"] = list(residues.closed_form_remainder_set(args.x, args.r).members)
     if args.method == "both":
         verdict = payload["members"] == payload["closed_form"]
         payload["agrees"] = verdict
     if args.method == "closed":
         payload["members"] = payload.pop("closed_form")
-    return echo, payload, verdict
+    return payload, verdict
 
 
-def _cmd_agree(args: SimpleNamespace) -> tuple[dict, dict, Optional[bool]]:
+def _cmd_agree(args: SimpleNamespace) -> tuple[dict, Optional[bool]]:
     from . import asymptotic
 
     tuples = asymptotic.sample_tuples(
@@ -259,35 +231,19 @@ def _cmd_agree(args: SimpleNamespace) -> tuple[dict, dict, Optional[bool]]:
     payload = {
         "tuples_checked": report.tuples_checked,
         "points_checked": report.points_checked,
-        "mismatches": [
-            {
-                "tuple": list(m.a),
-                "N": m.big_n,
-                "criterion": m.criterion,
-                "brute_force": m.brute_force,
-            }
-            for m in report.mismatches
-        ],
+        "mismatches": [{"tuple": list(m.a), "N": m.big_n, "criterion": m.criterion,
+                        "brute_force": m.brute_force} for m in report.mismatches],
         "ok": report.ok,
     }
-    echo = {
-        "count": args.count,
-        "min_len": args.min_len,
-        "max_len": args.max_len,
-        "low": args.low,
-        "high": args.high,
-        "window": args.window,
-        "seed": args.seed,
-    }
-    return echo, payload, report.ok
+    return payload, report.ok
 
 
-# Each command maps to (handler, help text, options). An option is (type,
-# default): the type is int, str, a tuple of choices, or bool for a flag, and
-# the default REQUIRED makes the option required.
+# Each command maps to (handler, help text, options). An option is (kind,
+# default): the kind is int, parse_spec, parse_tuple, a tuple of choices, or
+# bool for a flag, and the default REQUIRED makes the option required.
 REQUIRED = object()
-_SPEC = {"alpha": (str, REQUIRED)}
-_TUPLE = {"tuple": (str, REQUIRED)}
+_SPEC = {"alpha": (parse_spec, REQUIRED)}
+_TUPLE = {"tuple": (parse_tuple, REQUIRED)}
 
 GLOBAL_OPTIONS = {"format": (("json", "csv", "table"), "json"), "timing": (bool, False)}
 COMMANDS = {
@@ -335,7 +291,9 @@ def _value(name: str, kind: Any, text: str) -> Any:
             return int(text)
         except ValueError:
             raise ValueError(f"--{name}: invalid int value {text!r}") from None
-    if kind is not str and text not in kind:
+    if not isinstance(kind, tuple):
+        return kind(text)  # parse_spec or parse_tuple, whose errors name the text
+    if text not in kind:
         raise ValueError(f"--{name}: invalid choice {text!r} (choose from {', '.join(kind)})")
     return text
 
@@ -381,6 +339,23 @@ def parse_args(argv: Sequence[str]) -> Optional[SimpleNamespace]:
             values[name] = default
     return SimpleNamespace(command=command,
                            **{name.replace("-", "_"): v for name, v in values.items()})
+
+
+def _echo(args: SimpleNamespace) -> dict[str, Any]:
+    """The document's input: each option of the command in table order, but no flag,
+    no --threads and no option left at None; a spec or tuple in its canonical form."""
+    echo = {}
+    for name, (kind, _) in COMMANDS[args.command][2].items():
+        key = name.replace("-", "_")
+        value = getattr(args, key)
+        if kind is bool or name == "threads" or value is None:
+            continue
+        if kind is parse_spec:
+            value = str(value)
+        elif kind is parse_tuple:
+            value = ",".join(str(v) for v in value)
+        echo[key] = value
+    return echo
 
 
 def build_parser():
@@ -441,12 +416,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             _write(help_text())
             return 0
         started = time.monotonic()
-        echo, payload, verdict = COMMANDS[args.command][0](args)
+        payload, verdict = COMMANDS[args.command][0](args)
     except (ValueError, OverflowError, MemoryError, RecursionError, RuntimeError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     else:
-        doc: dict[str, Any] = {"command": args.command, "input": echo, "payload": payload}
+        doc: dict[str, Any] = {"command": args.command, "input": _echo(args), "payload": payload}
         if args.timing:
             doc["elapsed_ms"] = int((time.monotonic() - started) * 1000)
         if args.format == "json":

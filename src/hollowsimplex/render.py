@@ -19,7 +19,7 @@ def _usage(options: dict) -> str:
         if isinstance(kind, tuple):
             word += " {" + ",".join(kind) + "}"
         elif kind is not bool:
-            word += f" {kind.__name__.upper()}"
+            word += f" {kind.__name__.removeprefix('parse_').upper()}"
         if default is None or kind is bool:
             word = f"[{word}]"
         elif default is not REQUIRED:

@@ -78,7 +78,15 @@ class SimplexSpec(_SimplexSpec):
     __slots__ = ()
 
     def __new__(cls, a, d) -> "SimplexSpec":
-        a = tuple(int(v) for v in a)
+        # whole values such as 6.0 or True become ints; any other value is refused
+        given = (*a, d)
+        try:
+            row = tuple(map(int, given))
+        except (TypeError, ValueError, OverflowError):
+            row = None
+        if row != given:
+            raise ValueError(f"entries and d must be integers, got {given[:-1]} and {d!r}")
+        a, d = row[:-1], row[-1]
         if len(a) < 2:
             raise ValueError("need at least two entries (ambient dimension >= 3)")
         if any(v < 1 for v in a):

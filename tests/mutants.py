@@ -48,6 +48,8 @@ MUTANTS = (
      "_hollow_by_n drops a cell that can hold an interior point"),
     ("asymptotic.py", "if min(t) < 1:", "if min(t) < 0:",
      "the entry-tuple rule accepts 0"),
+    ("cli.py", 'or name == "threads" or', "or",
+     "the document's input echoes --threads"),
 )
 
 

@@ -247,8 +247,14 @@ def test_entries_is_the_one_tuple_rule():
     takers = (entries, ascending, criterion_witness, stability_thresholds,
               robust_stability_point, nontrivial_data, candidate_extensions,
               lambda b: proscriptive_datum(b, 0, 1))
+    # a value that is not whole is refused, never truncated: (6.9, 10, 15)
+    # would read as the asymptotically hollow (6, 10, 15)
     for bad, message in (((5,), r"^need at least two entries, got \(5,\)$"),
-                         ((3, 0), r"^entries must be positive, got \(3, 0\)$")):
+                         ((3, 0), r"^entries must be positive, got \(3, 0\)$"),
+                         ((6.9, 10, 15), r"^entries must be integers, got \(6\.9, 10, 15\)$"),
+                         (("6", 10), r"^entries must be integers, got \('6', 10\)$"),
+                         ((float("nan"), 10), r"^entries must be integers, got \(nan, 10\)$"),
+                         ((None, 10), r"^entries must be integers, got \(None, 10\)$")):
         for take in takers:
             with pytest.raises(ValueError, match=message):
                 take(bad)

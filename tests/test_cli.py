@@ -12,7 +12,7 @@ from conftest import run_cli
 
 import hollowsimplex
 from hollowsimplex import cli
-from hollowsimplex.cli import parse_tuple, tuple_str
+from hollowsimplex.cli import parse_tuple
 from hollowsimplex.simplex import SimplexSpec
 
 
@@ -225,18 +225,18 @@ def test_invalid_inputs_exit_two(capsys):
 
 
 # Each command with its required options, and every option it then parses
-# to: the values argparse gave, written out.
+# to: a spec to a SimplexSpec and a tuple to its ints, each converted once.
 _PARSED = [
-    (["hollow", "--alpha", "3,5,7:30"], {"alpha": "3,5,7:30"}),
-    (["empty", "--alpha", "3,5,7:31"], {"alpha": "3,5,7:31"}),
-    (["points", "--alpha", "2,3:12"], {"alpha": "2,3:12"}),
-    (["facets", "--alpha", "3,5,7:30"], {"alpha": "3,5,7:30"}),
-    (["width", "--alpha", "2,3:13"], {"alpha": "2,3:13"}),
-    (["asym", "--tuple", "6,10,15"], {"tuple": "6,10,15"}),
-    (["thresholds", "--tuple", "3,5,7"], {"tuple": "3,5,7"}),
+    (["hollow", "--alpha", "3,5,7:30"], {"alpha": SimplexSpec((3, 5, 7), 30)}),
+    (["empty", "--alpha", "3,5,7:31"], {"alpha": SimplexSpec((3, 5, 7), 31)}),
+    (["points", "--alpha", "2,3:12"], {"alpha": SimplexSpec((2, 3), 12)}),
+    (["facets", "--alpha", "3,5,7:30"], {"alpha": SimplexSpec((3, 5, 7), 30)}),
+    (["width", "--alpha", "2,3:13"], {"alpha": SimplexSpec((2, 3), 13)}),
+    (["asym", "--tuple", "6,10,15"], {"tuple": (6, 10, 15)}),
+    (["thresholds", "--tuple", "3,5,7"], {"tuple": (3, 5, 7)}),
     (["proscribe", "--tuple", "29,38,66"],
-     {"tuple": "29,38,66", "index": None, "multiplier": None}),
-    (["extend", "--tuple", "29,38,66"], {"tuple": "29,38,66"}),
+     {"tuple": (29, 38, 66), "index": None, "multiplier": None}),
+    (["extend", "--tuple", "29,38,66"], {"tuple": (29, 38, 66)}),
     (["classify", "--a-max", "6", "--x-max", "16"],
      {"a_max": 6, "x_max": 16, "min_entry": 2, "check": False, "threads": 1}),
     (["family", "--n", "5"], {"n": 5}),
@@ -251,6 +251,7 @@ _PARSED = [
 def test_parsed_defaults(argv, options):
     parsed = vars(cli.build_parser()(argv))
     assert parsed == {"format": "json", "timing": False, "command": argv[0], **options}
+    assert all(type(v) is type(options[k]) for k, v in parsed.items() if k in options)
 
 
 def test_defaults_cover_every_command():
@@ -264,7 +265,7 @@ def test_parsing_rules():
                           "a_max": 3, "x_max": 12, "min_entry": 2, "check": True,
                           "threads": -4}
     # a value given with = may start with dashes
-    assert cli.parse_args(["asym", "--tuple=--1"]).tuple == "--1"
+    assert cli.parse_args(["asym", "--tuple=-1,2"]).tuple == (-1, 2)
 
 
 @pytest.mark.parametrize("argv", [
@@ -329,32 +330,65 @@ def test_byte_identical_reruns():
 
 
 def _golden_outputs():
-    """(sha256, argv) rows of extension_outputs.sha256: the extend and proscribe
-    documents recorded from the rational implementation of the proscriptive
-    layer, which the integer kernel must reproduce byte for byte."""
-    path = os.path.join(os.path.dirname(__file__), "extension_outputs.sha256")
+    """(sha256, exit code, argv) rows of cli_outputs.sha256: each command's json,
+    csv and table documents recorded before the option table converted specs and
+    tuples, and the extend and proscribe documents recorded from the rational
+    implementation of the proscriptive layer."""
+    path = os.path.join(os.path.dirname(__file__), "cli_outputs.sha256")
     with open(path) as fh:
-        return [tuple(line.rstrip("\n").split("  ", 1)) for line in fh if line.strip()]
+        return [tuple(line.rstrip("\n").split("  ", 2)) for line in fh if line.strip()]
 
 
 _GOLDEN = _golden_outputs()
 
 
-@pytest.mark.parametrize("digest, argv", _GOLDEN, ids=[argv for _, argv in _GOLDEN])
-def test_extension_outputs_match_recorded_bytes(digest, argv):
-    code, out = run_cli(argv.split())
-    assert code == 0
+@pytest.mark.parametrize("digest, code, argv", _GOLDEN, ids=[argv for *_, argv in _GOLDEN])
+def test_extension_outputs_match_recorded_bytes(digest, code, argv):
+    exit_code, out = run_cli(argv.split())
+    assert exit_code == int(code)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def test_round_trip_tuple_and_spec():
+def test_recorded_bytes_cover_every_command():
+    pinned = {argv.split()[2] for *_, argv in _GOLDEN}
+    assert pinned == set(cli.COMMANDS)
+
+
+# One invocation per command, with the tokens that its input does not echo:
+# the flags and --threads, which do not change what is computed.
+_ROUND_TRIPS = [
+    (["hollow", "--alpha", " 3, 5,7 :30"], []),
+    (["empty", "--alpha", "3,5,7:031"], []),
+    (["points", "--alpha", "2,3:12"], []),
+    (["facets", "--alpha", "3,5,7:30"], []),
+    (["width", "--alpha", "2,12:6"], []),
+    (["asym", "--tuple", "15, 6,10"], []),
+    (["thresholds", "--tuple", "+3,5,7"], []),
+    (["proscribe", "--multiplier", "3", "--tuple", "29,38,66", "--index", "0"], []),
+    (["extend", "--tuple", "2,3"], []),
+    (["classify", "--x-max", "16", "--check", "--min-entry", "3", "--a-max", "6"], ["--check"]),
+    (["family", "--n", "5"], []),
+    (["sset", "--method", "both", "--x", "23", "--r", "3"], []),
+    (["agree", "--count", "6", "--threads", "2", "--window", "5", "--max-len", "3"],
+     ["--threads", "2"]),
+]
+
+
+def test_round_trip_tuple_and_spec(no_child_left):
+    assert [argv[0] for argv, _ in _ROUND_TRIPS] == list(cli.COMMANDS)
+    for argv, unechoed in _ROUND_TRIPS:
+        code, out = run_cli(argv)
+        echoed = json.loads(out)["input"]
+        rebuilt = [argv[0], *unechoed]
+        for key, value in echoed.items():
+            rebuilt += [f"--{key.replace('_', '-')}", str(value)]
+        assert run_cli(rebuilt) == (code, out), argv
     code, out = run_cli(["asym", "--tuple", "15,6,10"])
     echoed = json.loads(out)["input"]["tuple"]
     assert parse_tuple(echoed) == (15, 6, 10)
     code, out = run_cli(["hollow", "--alpha", "3,5,7:30"])
     echoed = json.loads(out)["input"]["alpha"]
     assert SimplexSpec.parse(echoed) == SimplexSpec((3, 5, 7), 30)
-    assert tuple_str((6, 10, 15)) == "6,10,15"
 
 
 def test_csv_and_table_formats_render():

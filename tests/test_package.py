@@ -204,6 +204,15 @@ def test_simplex_spec_validates_and_coerces():
         simplex.SimplexSpec((2, 0), 5)
     with pytest.raises(ValueError, match=r"^last entry must be positive, got 0$"):
         simplex.SimplexSpec((2, 3), 0)
+    spec = simplex.SimplexSpec((3, 5, 7), 30.0)  # d is coerced as the entries are
+    assert type(spec.d) is int and simplex.is_hollow(spec)
+    # a value that is not whole is refused, never truncated
+    for a, d, shown in (((3.7, 5), 30, r"\(3\.7, 5\) and 30"),
+                        ((3, 5, 7), 30.5, r"\(3, 5, 7\) and 30\.5"),
+                        ((3, "5"), 30, r"\(3, '5'\) and 30"),
+                        ((3, 5), None, r"\(3, 5\) and None")):
+        with pytest.raises(ValueError, match=rf"^entries and d must be integers, got {shown}$"):
+            simplex.SimplexSpec(a, d)
 
 
 def test_half_open_interval_coerces_to_fractions():
