@@ -11,19 +11,22 @@ Arguments are read against the tables GLOBAL_OPTIONS and COMMANDS: global
 options, the command, then its options, as `--name value` or `--name=value`;
 the last of a repeated option wins and no abbreviation is accepted. Each value
 is converted once, when it is read: to an int, a choice, a `SimplexSpec` or
-an entry tuple. A handler takes the converted values and returns only its
-payload and verdict; the document's `input` echoes the options by one rule,
-`_echo`. Each handler imports the submodules it computes with, so a launch
-loads only what its subcommand runs, and parsing loads none of them but
-`simplex`, for a spec; the csv and table output and the help text live in
-`render`, which a json launch does not load.
+an entry tuple. Every integer, alone or a piece of a tuple or spec, is read by
+one rule, `_integer`: ASCII digits after an optional '-', with optional
+whitespace around. A spec's text form 'a1,...:d' is read (`parse_spec`) and
+written (`_echo`) only here; the library neither parses nor prints it. A
+handler takes the converted values and returns only its payload and verdict;
+the document's `input` echoes the options by one rule, `_echo`. Each handler
+imports the submodules it computes with, so a launch loads only what its
+subcommand runs, and parsing loads none of them but `simplex`, for a spec; the
+csv and table output and the help text live in `render`, which a json launch
+does not load.
 """
 
 from __future__ import annotations
 
 import json
 import sys
-import time
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Optional, Sequence
 
@@ -32,10 +35,19 @@ if TYPE_CHECKING:
     from .simplex import LatticePointReport, SimplexSpec
 
 
+def _integer(text: str) -> int:
+    """The integer written as ASCII digits after an optional '-', with optional whitespace
+    around; ValueError for any other text, such as '1_0', '+3' or '３', which int() takes."""
+    digits = text.strip().removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def parse_tuple(text: str) -> tuple[int, ...]:
     """The integers of 'a1,a2,...'; the kernel each tuple command calls checks the entries."""
     try:
-        return tuple(int(p) for p in text.split(","))
+        return tuple(map(_integer, text.split(",")))
     except ValueError as exc:
         raise ValueError(f"malformed tuple {text!r}") from exc
 
@@ -44,7 +56,14 @@ def parse_spec(text: str) -> SimplexSpec:
     """The simplex spec 'a1,a2,...:d', checked; `simplex` loads only when a spec is given."""
     from .simplex import SimplexSpec
 
-    return SimplexSpec.parse(text)
+    head, sep, tail = text.partition(":")
+    if not sep:
+        raise ValueError(f"expected 'a1,a2,...:d', got {text!r}")
+    try:
+        a, d = tuple(map(_integer, head.split(","))), _integer(tail)
+    except ValueError as exc:
+        raise ValueError(f"malformed simplex spec {text!r}") from exc
+    return SimplexSpec(a, d)
 
 
 def _point_doc(p: LatticePointReport) -> dict[str, Any]:
@@ -239,13 +258,14 @@ def _cmd_agree(args: SimpleNamespace) -> tuple[dict, Optional[bool]]:
 
 
 # Each command maps to (handler, help text, options). An option is (kind,
-# default): the kind is int, parse_spec, parse_tuple, a tuple of choices, or
-# bool for a flag, and the default REQUIRED makes the option required.
+# default): the kind is int (read by _integer), parse_spec, parse_tuple, a
+# tuple of choices, or bool for a flag, and the default REQUIRED makes the
+# option required.
 REQUIRED = object()
 _SPEC = {"alpha": (parse_spec, REQUIRED)}
 _TUPLE = {"tuple": (parse_tuple, REQUIRED)}
 
-GLOBAL_OPTIONS = {"format": (("json", "csv", "table"), "json"), "timing": (bool, False)}
+GLOBAL_OPTIONS = {"format": (("json", "csv", "table"), "json")}
 COMMANDS = {
     "hollow": (_cmd_hollow, "decide hollowness of a simplex a1,...:d, e.g. 3,5,7:30", _SPEC),
     "empty": (_cmd_empty, "decide emptiness of a simplex", _SPEC),
@@ -288,7 +308,7 @@ COMMANDS = {
 def _value(name: str, kind: Any, text: str) -> Any:
     if kind is int:
         try:
-            return int(text)
+            return _integer(text)
         except ValueError:
             raise ValueError(f"--{name}: invalid int value {text!r}") from None
     if not isinstance(kind, tuple):
@@ -351,9 +371,9 @@ def _echo(args: SimpleNamespace) -> dict[str, Any]:
         if kind is bool or name == "threads" or value is None:
             continue
         if kind is parse_spec:
-            value = str(value)
+            value = f"{','.join(map(str, value.a))}:{value.d}"
         elif kind is parse_tuple:
-            value = ",".join(str(v) for v in value)
+            value = ",".join(map(str, value))
         echo[key] = value
     return echo
 
@@ -415,15 +435,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
             _write(help_text())
             return 0
-        started = time.monotonic()
         payload, verdict = COMMANDS[args.command][0](args)
     except (ValueError, OverflowError, MemoryError, RecursionError, RuntimeError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     else:
         doc: dict[str, Any] = {"command": args.command, "input": _echo(args), "payload": payload}
-        if args.timing:
-            doc["elapsed_ms"] = int((time.monotonic() - started) * 1000)
         if args.format == "json":
             _write(_render_json(doc))
         else:

@@ -48,9 +48,7 @@ def csv(doc: dict[str, Any]) -> Iterator[str]:
 
     yield "key,value\n"
     tables: list[tuple[str, list[dict]]] = []
-    for section in ("command", "input", "payload", "elapsed_ms"):
-        if section not in doc:
-            continue
+    for section in ("command", "input", "payload"):
         value = doc[section]
         if not isinstance(value, dict):
             yield f"{section},{scalar(value)}\n"

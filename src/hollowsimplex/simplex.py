@@ -35,22 +35,6 @@ class _SimplexSpec(NamedTuple):
     a: tuple[int, ...]
     d: int
 
-    @classmethod
-    def parse(cls, text: str) -> "SimplexSpec":
-        """Parse the canonical 'a1,a2,...:d' form, e.g. '3,5,7:30'."""
-        head, sep, tail = text.partition(":")
-        if not sep:
-            raise ValueError(f"expected 'a1,a2,...:d', got {text!r}")
-        try:
-            a = tuple(int(p) for p in head.split(","))
-            d = int(tail)
-        except ValueError as exc:
-            raise ValueError(f"malformed simplex spec {text!r}") from exc
-        return cls(a, d)
-
-    def __str__(self) -> str:
-        return ",".join(str(v) for v in self.a) + f":{self.d}"
-
     @property
     def dimension(self) -> int:
         return len(self.a) + 1

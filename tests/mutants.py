@@ -50,6 +50,8 @@ MUTANTS = (
      "the entry-tuple rule accepts 0"),
     ("cli.py", 'or name == "threads" or', "or",
      "the document's input echoes --threads"),
+    ("cli.py", "digits.isascii() and digits.isdigit()", "True",
+     "the integer rule accepts anything int() accepts, such as '1_0'"),
 )
 
 

@@ -222,6 +222,17 @@ def test_invalid_inputs_exit_two(capsys):
     # a length below 2 is refused before any tuple is sampled, by name
     assert run_cli(["agree", "--min-len", "1"]) == (2, "")
     assert capsys.readouterr().err == "error: tuple lengths must be at least 2, got 1\n"
+    # An integer is ASCII digits after an optional '-'; int() alone would read
+    # each of these texts as another question.
+    for argv in (["asym", "--tuple", "1_0,3"], ["asym", "--tuple", "+6,10,15"],
+                 ["asym", "--tuple", "\uff16,10,15"], ["hollow", "--alpha", "1_0,3:13"],
+                 ["hollow", "--alpha", "2,3:1_3"], ["family", "--n", "1_0"],
+                 ["classify", "--a-max", "\uff13", "--x-max", "8"]):
+        capsys.readouterr()
+        assert run_cli(argv) == (2, ""), argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert repr(argv[2]) in err, err
 
 
 # Each command with its required options, and every option it then parses
@@ -250,7 +261,7 @@ _PARSED = [
 @pytest.mark.parametrize("argv, options", _PARSED)
 def test_parsed_defaults(argv, options):
     parsed = vars(cli.build_parser()(argv))
-    assert parsed == {"format": "json", "timing": False, "command": argv[0], **options}
+    assert parsed == {"format": "json", "command": argv[0], **options}
     assert all(type(v) is type(options[k]) for k, v in parsed.items() if k in options)
 
 
@@ -259,13 +270,20 @@ def test_defaults_cover_every_command():
 
 
 def test_parsing_rules():
-    args = cli.parse_args(["--format=csv", "--timing", "classify", "--a-max=3",
+    args = cli.parse_args(["--format=csv", "classify", "--a-max=3",
                            "--x-max", "9", "--x-max", "12", "--check", "--threads", "-4"])
-    assert vars(args) == {"format": "csv", "timing": True, "command": "classify",
+    assert vars(args) == {"format": "csv", "command": "classify",
                           "a_max": 3, "x_max": 12, "min_entry": 2, "check": True,
                           "threads": -4}
     # a value given with = may start with dashes
     assert cli.parse_args(["asym", "--tuple=-1,2"]).tuple == (-1, 2)
+    assert cli.parse_args(["agree", "--seed", "-3"]).seed == -3
+    # the spec's text form is read by the command line, not by `simplex`
+    assert cli.parse_spec("3,5,7:30") == SimplexSpec((3, 5, 7), 30)
+    with pytest.raises(ValueError, match="expected 'a1,a2,...:d'"):
+        cli.parse_spec("3,5,7")
+    with pytest.raises(ValueError, match="malformed simplex spec"):
+        cli.parse_spec("3,x:30")
 
 
 @pytest.mark.parametrize("argv", [
@@ -363,7 +381,7 @@ _ROUND_TRIPS = [
     (["facets", "--alpha", "3,5,7:30"], []),
     (["width", "--alpha", "2,12:6"], []),
     (["asym", "--tuple", "15, 6,10"], []),
-    (["thresholds", "--tuple", "+3,5,7"], []),
+    (["thresholds", "--tuple", "03,5,7 "], []),
     (["proscribe", "--multiplier", "3", "--tuple", "29,38,66", "--index", "0"], []),
     (["extend", "--tuple", "2,3"], []),
     (["classify", "--x-max", "16", "--check", "--min-entry", "3", "--a-max", "6"], ["--check"]),
@@ -388,7 +406,7 @@ def test_round_trip_tuple_and_spec(no_child_left):
     assert parse_tuple(echoed) == (15, 6, 10)
     code, out = run_cli(["hollow", "--alpha", "3,5,7:30"])
     echoed = json.loads(out)["input"]["alpha"]
-    assert SimplexSpec.parse(echoed) == SimplexSpec((3, 5, 7), 30)
+    assert cli.parse_spec(echoed) == SimplexSpec((3, 5, 7), 30)
 
 
 def test_csv_and_table_formats_render():

@@ -34,20 +34,13 @@ from conftest import heights_by_scan
 from oracle import box_walk, empty_reason
 
 
-def test_spec_validation_and_parse():
+def test_spec_validation():
     with pytest.raises(ValueError):
         SimplexSpec((3,), 5)
     with pytest.raises(ValueError):
         SimplexSpec((0, 2), 5)
     with pytest.raises(ValueError):
         SimplexSpec((1, 2), 0)
-    spec = SimplexSpec.parse("3,5,7:30")
-    assert spec == SimplexSpec((3, 5, 7), 30)
-    assert str(spec) == "3,5,7:30"
-    with pytest.raises(ValueError):
-        SimplexSpec.parse("3,5,7")
-    with pytest.raises(ValueError):
-        SimplexSpec.parse("3,x:30")
 
 
 def test_enumeration_2_3_12():
