@@ -44,13 +44,11 @@ _EXPORTS = {
         "proscriptive_datum",
     ),
     "residues": (
-        "ResidueSet",
         "bounded_remainder_set",
         "closed_form_remainder_set",
     ),
     "simplex": (
         "EdgePointError",
-        "FacetVolumes",
         "LatticePointReport",
         "SimplexSpec",
         "empty_sufficient",

@@ -212,7 +212,7 @@ class AgreementReport(NamedTuple):
         return not self.mismatches
 
 
-def _check_agreement(args: tuple[tuple[int, ...], int]) -> tuple[int, list[AgreementMismatch]]:
+def _check_agreement(args: tuple[tuple[int, ...], int]) -> list[AgreementMismatch]:
     # Imported on use: only the sweep needs the exact hollowness test, and
     # the criterion's callers (asym, extend, classify, family) never load it.
     from .simplex import _hollow_by_n
@@ -221,12 +221,11 @@ def _check_agreement(args: tuple[tuple[int, ...], int]) -> tuple[int, list[Agree
     expected = is_asymptotically_hollow(a)
     start = robust_stability_point(a)
     big_ns = range(start + 1, start + window + 1)
-    bad = [
+    return [
         AgreementMismatch(a=a, big_n=big_n, criterion=expected, brute_force=actual)
         for big_n, actual in zip(big_ns, _hollow_by_n(a, big_ns))
         if actual != expected
     ]
-    return len(big_ns), bad
 
 
 def agreement_sweep(
@@ -247,8 +246,7 @@ def agreement_sweep(
         raise ValueError(f"window must be positive, got {window}")
     jobs = [(ascending(a), window) for a in tuples]
     results = parallel_map(_check_agreement, jobs, threads)
-    points = sum(r[0] for r in results)
-    mismatches = tuple(m for r in results for m in r[1])
     return AgreementReport(
-        tuples_checked=len(jobs), points_checked=points, mismatches=mismatches
+        tuples_checked=len(jobs), points_checked=len(jobs) * window,
+        mismatches=tuple(m for bad in results for m in bad),
     )

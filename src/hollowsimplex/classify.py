@@ -82,12 +82,13 @@ def classify_triples(
     return TripleSet.from_triples([t for batch in batches for t in batch])
 
 
-def reference_triples(x_max: int, min_entry: int = 2) -> TripleSet:
-    """The known complete triple list restricted to entries <= x_max."""
-    if x_max < 2:
-        raise ValueError(f"x_max must be at least 2, got {x_max}")
+def reference_triples(a_max: int, x_max: int, min_entry: int = 2) -> TripleSet:
+    """The known complete triple list in the box of classify_triples: least entry
+    in [min_entry, a_max], every entry <= x_max."""
+    if a_max < 2 or x_max < a_max:
+        raise ValueError(f"need 2 <= a_max <= x_max, got ({a_max}, {x_max})")
     sporadic = tuple(
-        t for t in SPORADIC_TRIPLES if t[2] <= x_max and t[0] >= min_entry
+        t for t in SPORADIC_TRIPLES if min_entry <= t[0] <= a_max and t[2] <= x_max
     )
     family = tuple(range(2, x_max)) if min_entry <= 2 else ()
     return TripleSet(sporadic=sporadic, family_xs=family)

@@ -26,7 +26,9 @@ if TYPE_CHECKING:
     from fractions import Fraction
 
 
-class _HalfOpenInterval(NamedTuple):
+class HalfOpenInterval(NamedTuple):
+    """Rational interval [lo, hi); empty exactly when hi <= lo."""
+
     lo: Fraction
     hi: Fraction
 
@@ -38,28 +40,16 @@ class _HalfOpenInterval(NamedTuple):
         return f"[{self.lo}, {self.hi})"
 
 
-class HalfOpenInterval(_HalfOpenInterval):
-    """Rational interval [lo, hi); empty exactly when hi <= lo."""
-
-    __slots__ = ()
-
-    def __new__(cls, lo, hi) -> "HalfOpenInterval":
-        from fractions import Fraction
-
-        return super().__new__(cls, Fraction(lo), Fraction(hi))
-
-
 class RaySummary(NamedTuple):
     """Integers missed by a union of dilated intervals, plus its infinite ray.
 
     Every integer >= ray_start is covered by the union. `gaps` lists the
-    integers in [1, horizon] covered by no dilate, where horizon is
-    ceil(ray_start); all of them lie below ray_start, so they are every gap.
+    integers in [1, ceil(ray_start)] covered by no dilate; all of them lie
+    below ray_start, so they are every gap.
     """
 
     ray_start: Fraction
     gaps: tuple[int, ...]
-    horizon: int
 
 
 class ProscriptiveDatum(NamedTuple):
@@ -91,8 +81,7 @@ def _datum(b: tuple[int, ...], i: int, m: int) -> ProscriptiveDatum:
     g_row = tuple((m * aj - 1) // b[i] for aj in b)
     f = sum(g_row)
     denom = len(b) - 1 + f
-    # the base __new__ takes the endpoints as built, without coercing them again
-    iv = _HalfOpenInterval.__new__(HalfOpenInterval, Fraction(b[i], m), Fraction(sum(b) - 1, denom))
+    iv = HalfOpenInterval(Fraction(b[i], m), Fraction(sum(b) - 1, denom))
     return ProscriptiveDatum(i, b[i], m, g_row, f, denom, iv)
 
 
@@ -156,8 +145,9 @@ class PrefixReport(NamedTuple):
     """Outcome of the extension search for one prefix.
 
     When every datum is trivial the prefix itself is asymptotically hollow
-    and arbitrarily large extensions work: unbounded is True and union and
-    candidates are absent. Otherwise candidates lists every y >= 2 that
+    and arbitrarily large extensions work: unbounded is True and horizon,
+    union and candidates are absent. Otherwise horizon is ceil(union.ray_start),
+    the last integer searched, and candidates lists every y >= 2 that
     escapes all dilated intervals and passes the full criterion; trivial
     y = 1 extensions are excluded since the search targets nontrivial
     tuples.
@@ -183,9 +173,8 @@ def candidate_extensions(b: Sequence[int]) -> PrefixReport:
 
     b = ascending(b)
     rows, ray, gaps, candidates = extension_search(b)
-    union = None if ray is None else RaySummary(Fraction(*ray), gaps, -(-ray[0] // ray[1]))
     return PrefixReport(
         b=b, s=sum(b) - 1, data=tuple(_datum(b, i, m) for i, m, _ in rows),
-        unbounded=union is None, horizon=None if union is None else union.horizon, union=union,
-        candidates=candidates,
+        unbounded=ray is None, horizon=None if ray is None else -(-ray[0] // ray[1]),
+        union=None if ray is None else RaySummary(Fraction(*ray), gaps), candidates=candidates,
     )

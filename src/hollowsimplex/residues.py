@@ -13,17 +13,8 @@ the brute-force construction cross-checks over the whole validity range.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 STRICT = "strict"
 EXEMPT = "exempt"
-
-
-class ResidueSet(NamedTuple):
-    x: int
-    r: int
-    members: tuple[int, ...]
-    variant: str
 
 
 def _validate(x: int, r: int) -> None:
@@ -33,8 +24,8 @@ def _validate(x: int, r: int) -> None:
         raise ValueError(f"x must be at least 2r = {2 * r}, got {x}")
 
 
-def bounded_remainder_set(x: int, r: int, variant: str = STRICT) -> ResidueSet:
-    """Exhaustive double loop over z in [1, x] and t in [1, floor(x/r)]."""
+def bounded_remainder_set(x: int, r: int, variant: str = STRICT) -> tuple[int, ...]:
+    """The members, ascending: exhaustive double loop over z in [1, x] and t in [1, floor(x/r)]."""
     _validate(x, r)
     if variant not in (STRICT, EXEMPT):
         raise ValueError(f"unknown variant {variant!r}")
@@ -50,7 +41,7 @@ def bounded_remainder_set(x: int, r: int, variant: str = STRICT) -> ResidueSet:
                 break
         else:
             members.append(z)
-    return ResidueSet(x=x, r=r, members=tuple(members), variant=variant)
+    return tuple(members)
 
 
 def closed_form_members(x: int, r: int) -> tuple[int, ...]:
@@ -62,8 +53,8 @@ def closed_form_members(x: int, r: int) -> tuple[int, ...]:
     return tuple(sorted({1, x // 2 - 1, x - 1}))
 
 
-def closed_form_remainder_set(x: int, r: int) -> ResidueSet:
-    """Closed form of the strict set under the nominal hypothesis x >= r*r.
+def closed_form_remainder_set(x: int, r: int) -> tuple[int, ...]:
+    """Closed form of the strict set's members under the nominal hypothesis x >= r*r.
 
     Known defect of the formula inside that range: at (x, r) = (9, 2) and
     (14, 3) the brute-force set carries one extra member, the inverse of r
@@ -74,5 +65,5 @@ def closed_form_remainder_set(x: int, r: int) -> ResidueSet:
     _validate(x, r)
     if x < r * r:
         raise ValueError(f"closed form requires x >= r^2 = {r * r}, got {x}")
-    return ResidueSet(x=x, r=r, members=closed_form_members(x, r), variant=STRICT)
+    return closed_form_members(x, r)
 

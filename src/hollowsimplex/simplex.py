@@ -298,27 +298,17 @@ def empty_sufficient(spec: SimplexSpec) -> Optional[str]:
     return None
 
 
-class FacetVolumes(NamedTuple):
+def facet_volumes(spec: SimplexSpec) -> tuple[int, ...]:
     """Normalized volumes of the n+1 facets.
 
     Ordered [opposite v, opposite e_1, ..., opposite e_{n-1}, opposite 0]:
     always 1 for the facet opposite v, gcd(a(i), d) opposite e_i, and
-    gcd(sum(a) - 1, d) opposite the origin.
+    gcd(sum(a) - 1, d) opposite the origin. A facet is standard (a
+    unimodular simplex) exactly when its volume is 1.
     """
-
-    volumes: tuple[int, ...]
-
-    @property
-    def standard_count(self) -> int:
-        """How many facets are unimodular simplices."""
-        return sum(1 for v in self.volumes if v == 1)
-
-
-def facet_volumes(spec: SimplexSpec) -> FacetVolumes:
-    vols = (1,) + tuple(math.gcd(ai, spec.d) for ai in spec.a) + (
+    return (1,) + tuple(math.gcd(ai, spec.d) for ai in spec.a) + (
         math.gcd(sum(spec.a) - 1, spec.d),
     )
-    return FacetVolumes(vols)
 
 
 def _bareiss_det(rows: list[list[int]]) -> int:

@@ -52,6 +52,10 @@ MUTANTS = (
      "the document's input echoes --threads"),
     ("cli.py", "digits.isascii() and digits.isdigit()", "True",
      "the integer rule accepts anything int() accepts, such as '1_0'"),
+    ("proscriptive.py", "-(-ray[0] // ray[1])", "ray[0] // ray[1]",
+     "the extension report's horizon rounds the ray start down"),
+    ("classify.py", "min_entry <= t[0] <= a_max and", "min_entry <= t[0] and",
+     "reference_triples ignores a_max"),
 )
 
 

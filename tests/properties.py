@@ -77,7 +77,7 @@ def facet_volume_counterexamples(seed: int = 7, samples: int = 120):
         a = tuple(rng.randint(1, 12) for _ in range(length))
         specs.append(simplex.SimplexSpec(a, rng.randint(1, 40)))
     for spec in specs:
-        vols = simplex.facet_volumes(spec).volumes
+        vols = simplex.facet_volumes(spec)
         oracle = tuple(
             simplex.facet_cotorsion(spec, i) for i in range(spec.dimension + 1)
         )
@@ -92,8 +92,8 @@ def reflection_counterexamples(r_max: int = 6, x_max: int = 120):
     bad = []
     for r in range(2, r_max + 1):
         for x in range(2 * r, x_max + 1):
-            s = set(residues.bounded_remainder_set(x, r).members)
-            s0 = set(residues.bounded_remainder_set(x, r, residues.EXEMPT).members)
+            s = set(residues.bounded_remainder_set(x, r))
+            s0 = set(residues.bounded_remainder_set(x, r, residues.EXEMPT))
             if not s <= s0:
                 bad.append(("containment", x, r))
             for z in range(1, x - r + 1):

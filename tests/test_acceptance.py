@@ -53,7 +53,7 @@ def test_acceptance_2_residue_sets():
     disagreements = {}
     for r in range(2, 9):
         for x in range(r * r, 301):
-            brute = bounded_remainder_set(x, r).members
+            brute = bounded_remainder_set(x, r)
             closed = closed_form_members(x, r)
             if brute != closed:
                 disagreements[(x, r)] = (brute, closed)

@@ -13,11 +13,13 @@ from hollowsimplex.proscriptive import HalfOpenInterval
 
 
 def test_interval_emptiness():
-    assert HalfOpenInterval(2, 2).is_empty
-    assert HalfOpenInterval(3, 2).is_empty
-    assert not HalfOpenInterval(2, Fraction(61, 30)).is_empty
-    iv = HalfOpenInterval(38, 44)
-    assert (iv.lo, iv.hi) == (Fraction(38), Fraction(44))
+    assert HalfOpenInterval(Fraction(2), Fraction(2)).is_empty
+    assert HalfOpenInterval(Fraction(3), Fraction(2)).is_empty
+    assert not HalfOpenInterval(Fraction(2), Fraction(61, 30)).is_empty
+    iv = HalfOpenInterval(Fraction(38), Fraction(44))
+    assert (iv.lo, iv.hi) == (38, 44) and iv == (38, 44)
+    assert str(iv) == "[38, 44)" and not iv.is_empty
+    assert str(HalfOpenInterval(Fraction(29, 3), Fraction(132, 13))) == "[29/3, 132/13)"
     assert in_dilate(38, iv, 1) and in_dilate(43, iv, 1) and not in_dilate(44, iv, 1)
     assert in_dilate(76, iv, 2) and not in_dilate(88, iv, 2)
 

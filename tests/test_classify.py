@@ -53,17 +53,22 @@ def test_triple_set_partition():
 
 
 def test_reference_triples_boxes():
-    full = reference_triples(60)
+    full = reference_triples(60, 60)
     assert full.sporadic == SPORADIC_TRIPLES
     assert full.family_xs == tuple(range(2, 60))
-    small = reference_triples(10)
+    small = reference_triples(10, 10)
     assert small.sporadic == (
         (2, 3, 5), (2, 3, 8), (2, 5, 9), (3, 4, 6), (3, 5, 7), (3, 5, 8),
         (3, 8, 10), (4, 6, 9), (4, 7, 10),
     )
-    assert reference_triples(15).sporadic[-1] == (6, 10, 15)
-    assert reference_triples(3).family_xs == (2,)
-    assert reference_triples(3).sporadic == ()
+    assert reference_triples(6, 15).sporadic[-1] == (6, 10, 15)
+    assert reference_triples(2, 3).family_xs == (2,)
+    assert reference_triples(2, 3).sporadic == ()
+    # the least entry is capped at a_max as in classify_triples' box, so
+    # (5, 8, 12) and (6, 10, 15) lie outside (4, 16)
+    assert reference_triples(4, 16).sporadic == small.sporadic
+    assert reference_triples(5, 16).sporadic[-1] == (5, 8, 12)
+    assert reference_triples(7, 60, min_entry=6) == (((6, 10, 15),), ())
 
 
 def test_classify_small_box():
@@ -74,10 +79,8 @@ def test_classify_small_box():
 
 
 def test_classify_medium_box_matches_reference():
-    result = classify_triples(6, 16)
-    expected = reference_triples(16)
-    assert result.sporadic == expected.sporadic
-    assert result.family_xs == expected.family_xs
+    assert classify_triples(6, 16) == reference_triples(6, 16)
+    assert classify_triples(4, 16) == reference_triples(4, 16)
 
 
 def test_classify_min_entry_six():
@@ -105,6 +108,9 @@ def test_classify_validation():
         classify_triples(1, 10)
     with pytest.raises(ValueError):
         classify_triples(10, 5)
+    for a_max, x_max in ((1, 10), (10, 5)):
+        with pytest.raises(ValueError, match=r"^need 2 <= a_max <= x_max"):
+            reference_triples(a_max, x_max)
 
 
 def test_classify_threads_deterministic():
@@ -112,6 +118,6 @@ def test_classify_threads_deterministic():
 
 
 def test_every_reference_triple_passes_criterion():
-    ref = reference_triples(60)
+    ref = reference_triples(60, 60)
     for t in ref.sporadic + tuple((2, x, x + 1) for x in ref.family_xs):
         assert is_asymptotically_hollow(t), t

@@ -95,6 +95,7 @@ def test_facets_command():
     code, doc = _payload(["facets", "--alpha", "3,5,7:30"])
     assert code == 0
     assert doc["volumes"] == [1, 3, 5, 1, 2]
+    assert doc["standard_count"] == 2
     assert doc["cotorsion_oracle"] == [1, 3, 5, 1, 2]
     assert doc["agrees"] is True
 
@@ -150,6 +151,10 @@ def test_classify_command_with_check():
     assert code == 0
     assert doc["matches_reference"] is True
     assert [2, 3, 5] in doc["sporadic"]
+    # the reference is cut to the same box: (5, 8, 12) and (6, 10, 15) lie past a_max = 4
+    code, doc = _payload(["classify", "--a-max", "4", "--x-max", "16", "--check"])
+    assert code == 0 and doc["matches_reference"] is True
+    assert doc["sporadic"][-1] == [4, 7, 10]
 
 
 def test_family_command():

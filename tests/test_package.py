@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 import hollowsimplex
-from hollowsimplex import arith, asymptotic, classify, proscriptive, residues, simplex
+from hollowsimplex import arith, asymptotic, classify, proscriptive, simplex
 
 SRC = os.path.dirname(os.path.dirname(hollowsimplex.__file__))
 COMPUTE = ("arith", "asymptotic", "classify", "proscriptive", "residues", "simplex")
@@ -111,11 +111,11 @@ def test_references_import_no_package_module(path):
     assert not [m for m in imported if m.split(".")[0] == "hollowsimplex"], path
 
 
-# The 41 exported names, pinned so that one is added or removed on purpose.
+# The 39 exported names, pinned so that one is added or removed on purpose.
 _EXPORTED = (
-    "AgreementReport", "CriterionWitness", "EdgePointError", "FacetVolumes",
-    "HalfOpenInterval", "LatticePointReport", "PrefixReport", "ProscriptiveDatum",
-    "RaySummary", "ResidueSet", "SPORADIC_TRIPLES", "SimplexSpec", "StabilityThresholds",
+    "AgreementReport", "CriterionWitness", "EdgePointError", "HalfOpenInterval",
+    "LatticePointReport", "PrefixReport", "ProscriptiveDatum", "RaySummary",
+    "SPORADIC_TRIPLES", "SimplexSpec", "StabilityThresholds",
     "TripleSet", "agreement_sweep", "ascending", "bounded_remainder_set",
     "candidate_extensions", "classify_triples", "closed_form_remainder_set",
     "criterion_witness", "doubling_family", "empty_sufficient",
@@ -135,9 +135,11 @@ def test_export_table_resolves_to_submodules():
             assert name in dir(hollowsimplex)
         assert getattr(hollowsimplex, module) is mod
     assert set(hollowsimplex.__all__) == set(hollowsimplex._SUBMODULE)
-    assert len(_EXPORTED) == 41 and sorted(hollowsimplex.__all__) == list(_EXPORTED)
-    # no_such_name, and the code that only the tests called, which is gone
-    for name in ("no_such_name", "rem_pos", "pair_interior_witness", "PairWitness"):
+    assert len(_EXPORTED) == 39 and sorted(hollowsimplex.__all__) == list(_EXPORTED)
+    # no_such_name, the code that only the tests called, and the records that only
+    # wrapped a tuple or echoed their inputs, which are gone
+    for name in ("no_such_name", "rem_pos", "pair_interior_witness", "PairWitness",
+                 "FacetVolumes", "ResidueSet"):
         with pytest.raises(AttributeError):
             getattr(hollowsimplex, name)
 
@@ -149,15 +151,13 @@ def _samples():
         asymptotic.StabilityThresholds: asymptotic.stability_thresholds((3, 5, 7)),
         asymptotic.AgreementMismatch: asymptotic.AgreementMismatch((2, 3), 7, True, False),
         asymptotic.AgreementReport: asymptotic.agreement_sweep([(3, 5, 7)], window=3),
-        classify.TripleSet: classify.reference_triples(12),
+        classify.TripleSet: classify.reference_triples(12, 12),
         proscriptive.ProscriptiveDatum: proscriptive.proscriptive_datum((3, 5), 1, 2),
         proscriptive.PrefixReport: proscriptive.candidate_extensions((3, 5)),
-        proscriptive.HalfOpenInterval: proscriptive.HalfOpenInterval(1, Fraction(3, 2)),
-        proscriptive.RaySummary: proscriptive.RaySummary(Fraction(7, 2), (1, 2), 5),
-        residues.ResidueSet: residues.bounded_remainder_set(30, 3),
+        proscriptive.HalfOpenInterval: proscriptive.HalfOpenInterval(Fraction(1), Fraction(3, 2)),
+        proscriptive.RaySummary: proscriptive.RaySummary(Fraction(7, 2), (1, 2)),
         simplex.SimplexSpec: spec,
         simplex.LatticePointReport: simplex.first_interior_point(spec),
-        simplex.FacetVolumes: simplex.facet_volumes(spec),
     }
 
 
@@ -173,11 +173,9 @@ def test_record_fields_keep_their_order():
         proscriptive.PrefixReport: ("b", "s", "data", "unbounded", "horizon", "union",
                                     "candidates"),
         proscriptive.HalfOpenInterval: ("lo", "hi"),
-        proscriptive.RaySummary: ("ray_start", "gaps", "horizon"),
-        residues.ResidueSet: ("x", "r", "members", "variant"),
+        proscriptive.RaySummary: ("ray_start", "gaps"),
         simplex.SimplexSpec: ("a", "d"),
         simplex.LatticePointReport: ("k", "coords", "location", "lambda_sum"),
-        simplex.FacetVolumes: ("volumes",),
     }
     assert set(fields) == set(_samples())
     for record, names in fields.items():
@@ -213,13 +211,6 @@ def test_simplex_spec_validates_and_coerces():
                         ((3, 5), None, r"\(3, 5\) and None")):
         with pytest.raises(ValueError, match=rf"^entries and d must be integers, got {shown}$"):
             simplex.SimplexSpec(a, d)
-
-
-def test_half_open_interval_coerces_to_fractions():
-    iv = proscriptive.HalfOpenInterval(1, 2)
-    assert type(iv.lo) is Fraction and type(iv.hi) is Fraction
-    assert proscriptive.HalfOpenInterval(hi="5/2", lo=0.5) == (Fraction(1, 2), Fraction(5, 2))
-    assert str(iv) == "[1, 2)" and not iv.is_empty
 
 
 def test_records_pickle_round_trip():

@@ -12,16 +12,16 @@ from hollowsimplex.residues import (
 
 
 def test_bruteforce_examples():
-    assert bounded_remainder_set(23, 3).members == (1, 20, 21)
-    assert bounded_remainder_set(10, 2).members == (1, 9)
-    assert bounded_remainder_set(12, 2).members == (1, 5, 11)
+    assert bounded_remainder_set(23, 3) == (1, 20, 21)
+    assert bounded_remainder_set(10, 2) == (1, 9)
+    assert bounded_remainder_set(12, 2) == (1, 5, 11)
 
 
 def test_closed_form_examples():
-    assert closed_form_remainder_set(23, 3).members == (1, 20, 21)
-    assert closed_form_remainder_set(10, 2).members == (1, 9)
-    assert closed_form_remainder_set(16, 2).members == (1, 7, 15)
-    assert closed_form_remainder_set(12, 3).members == (1, 10)
+    assert closed_form_remainder_set(23, 3) == (1, 20, 21)
+    assert closed_form_remainder_set(10, 2) == (1, 9)
+    assert closed_form_remainder_set(16, 2) == (1, 7, 15)
+    assert closed_form_remainder_set(12, 3) == (1, 10)
 
 
 def test_validation():
@@ -39,7 +39,7 @@ def test_known_formula_defects():
     # inside the nominal x >= r^2 range the formula misses the inverse of r
     # at exactly these two points
     for x, r in ((9, 2), (14, 3)):
-        brute = set(bounded_remainder_set(x, r).members)
+        brute = set(bounded_remainder_set(x, r))
         closed = set(closed_form_members(x, r))
         extra = brute - closed
         assert closed <= brute
@@ -54,22 +54,22 @@ def test_equivalence_medium_sweep():
             if (x, r) in ((9, 2), (14, 3)):
                 continue
             assert (
-                bounded_remainder_set(x, r).members == closed_form_members(x, r)
+                bounded_remainder_set(x, r) == closed_form_members(x, r)
             ), (x, r)
 
 
 def test_strict_subset_of_exempt():
     for r in range(2, 6):
         for x in range(2 * r, 80):
-            s = set(bounded_remainder_set(x, r, STRICT).members)
-            s0 = set(bounded_remainder_set(x, r, EXEMPT).members)
+            s = set(bounded_remainder_set(x, r, STRICT))
+            s0 = set(bounded_remainder_set(x, r, EXEMPT))
             assert s <= s0, (x, r)
 
 
 def test_large_gcd_excludes():
     for r in range(2, 6):
         for x in range(2 * r, 80):
-            members = set(bounded_remainder_set(x, r).members)
+            members = set(bounded_remainder_set(x, r))
             for z in range(1, x + 1):
                 if math.gcd(z, x) >= r:
                     assert z not in members, (x, r, z)
@@ -79,14 +79,14 @@ def test_closed_form_hypothesis_is_sharp():
     # for 4 <= r <= 8 the formula holds from x = r^2 on and fails just below
     for r in range(4, 9):
         for x in range(r * r, r * r + 41):
-            assert bounded_remainder_set(x, r).members == closed_form_members(x, r), (x, r)
+            assert bounded_remainder_set(x, r) == closed_form_members(x, r), (x, r)
         below = r * r - 1
-        assert bounded_remainder_set(below, r).members != closed_form_members(below, r), r
+        assert bounded_remainder_set(below, r) != closed_form_members(below, r), r
     # for r = 2, 3 the pinned defects are the only ones at or past r^2
     defects = [
         (x, r)
         for r in (2, 3)
         for x in range(r * r, 200)
-        if bounded_remainder_set(x, r).members != closed_form_members(x, r)
+        if bounded_remainder_set(x, r) != closed_form_members(x, r)
     ]
     assert defects == [(9, 2), (14, 3)]
