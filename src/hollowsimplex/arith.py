@@ -1,14 +1,13 @@
 """Exact integer primitives, and the one process pool.
 
 Everything downstream leans on a few kernels: sums of remainders shifted
-into {1, ..., x} instead of {0, ..., x-1}, and subset sums. No float ever
-enters a comparison and no rational is built here.
+into {1, ..., x} instead of {0, ..., x-1}, and the residues mod m that
+subsets reach. No float enters a comparison and no rational is built here.
 """
 
 from __future__ import annotations
 
 import os
-from itertools import combinations
 from typing import Callable, Iterable, Iterator, NoReturn, Sequence
 
 
@@ -22,11 +21,18 @@ def remainder_sum(entry: int, others: Iterable[int], t: int) -> int:
     return total
 
 
-def subset_sums(values: Sequence[int]) -> Iterator[tuple[tuple[int, ...], int]]:
-    """(positions, sum) of every nonempty subset, by size, then lexicographically."""
-    m = len(values)
-    for size in range(1, m + 1):
-        yield from zip(combinations(range(m), size), map(sum, combinations(values, size)))
+def subset_residues(values: Sequence[int], mod: int) -> Iterator[dict[int, int]]:
+    """For j = m - 1 down to 0, m = len(values): {r: the least size of a
+    nonempty subset of values[j:] summing to r mod `mod`}. Each table extends
+    the last, to at most min(2^m, mod) residues; time O(m * min(2^m, mod)).
+    """
+    table: dict[int, int] = {}
+    for v in reversed(values):
+        rest, table = table, {**table, v % mod: 1}
+        for r, size in rest.items():
+            s = (r + v) % mod
+            table[s] = min(table.get(s, size + 1), size + 1)
+        yield table
 
 
 def parallel_map(fn: Callable, jobs: Sequence, threads: int = 1) -> list:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from typing import Iterator, NamedTuple, Optional, Sequence
 
-from .arith import parallel_map, remainder_sum, subset_sums
+from .arith import parallel_map, remainder_sum, subset_residues
 
 
 def entries(a: Sequence[int]) -> tuple[int, ...]:
@@ -103,20 +103,9 @@ def is_asymptotically_hollow(a: Sequence[int]) -> bool:
 
 
 def _residue_one(others: Sequence[int], entry: int) -> bool:
-    """Whether the whole complement, or one of the first entry // 2 subsets
-    enumerated, sums to 1 mod entry.
-
-    The whole complement is tried first: it certifies every entry of the
-    doubling family in O(n) additions, where enumeration would reach it last.
-    Enumeration stops after entry // 2 subsets, the multipliers a
-    certificate saves the witness. The cap stays although a certificate
-    saves the rows of a prefix entry - 1 multipliers: the witness path
-    would pay more for a longer search than it saves. False only means no
-    certificate was found.
-    """
-    return sum(others) % entry == 1 or any(
-        total % entry == 1 for _, (_, total) in zip(range(entry // 2), subset_sums(others))
-    )
+    """Whether some nonempty subset of others sums to 1 mod entry. The whole
+    complement, tried first, certifies every entry of the doubling family."""
+    return sum(others) % entry == 1 or any(1 in t for t in subset_residues(others, entry))
 
 
 class StabilityThresholds(NamedTuple):

@@ -279,22 +279,21 @@ def empty_sufficient(spec: SimplexSpec) -> Optional[str]:
     the entries whose sum is divisible by d; the values at those indices,
     together with d, have content 1. A returned reason guarantees is_empty.
 
-    The union's content is folded in as each zero-sum subset turns up, so
-    the scan stops at the first subset that brings it to 1; when none does,
-    it still visits all 2^m - 1 subsets.
+    Index i is in the union when a(i) = 0 or a subset of the other entries
+    reaches -a(i), mod d; one table of all entries first tells if any does.
     """
-    from .arith import subset_sums
+    from .arith import subset_residues
 
-    full = spec.row
-    for i, ai in enumerate(spec.a):
-        if ai == 1 and math.gcd(*full[:i], *full[i + 1:]) == 1:
-            return UNIT_ENTRY
-    g = spec.d
-    for positions, total in subset_sums(spec.a):
-        if total % spec.d == 0:
-            g = math.gcd(g, *(spec.a[i] for i in positions))
-            if g == 1:
-                return GCD_UNION
+    full, a, d = spec.row, spec.a, spec.d
+    if any(ai == 1 and math.gcd(*full[:i], *full[i + 1:]) == 1 for i, ai in enumerate(a)):
+        return UNIT_ENTRY
+    g = d
+    if any(0 in t for t in subset_residues(a, d)):  # else the union is empty
+        for i, ai in enumerate(a):
+            if ai % d == 0 or any(-ai % d in t for t in subset_residues(a[:i] + a[i + 1:], d)):
+                g = math.gcd(g, ai)
+                if g == 1:
+                    return GCD_UNION
     return None
 
 
@@ -361,18 +360,24 @@ def width_one(spec: SimplexSpec) -> Optional[tuple[int, ...]]:
     """Subset of entry indices witnessing width one, or None.
 
     The simplex has width one iff some nonempty subset of the entries sums
-    to 0 or 1 mod d. Subsets are scanned in size-then-lexicographic order
-    and the first hit is returned (0-based indices). The empty set is
-    excluded: it would induce the zero functional.
+    to 0 or 1 mod d. The first such subset by size, then lexicographically,
+    is returned (0-based indices): a walk takes each position j that a[j+1:]
+    can finish at the least size, as no shorter finish exists. The empty
+    set is excluded: it would induce the zero functional.
     """
     if spec.d <= 1:
         raise ValueError("width-one test requires d > 1")
-    from .arith import subset_sums
+    from .arith import subset_residues
 
-    for positions, total in subset_sums(spec.a):
-        if total % spec.d in (0, 1):
-            return positions
-    return None
+    tables = [{}, *subset_residues(spec.a, spec.d)][::-1]  # tables[j]: subsets of a[j:]
+    left = min((tables[0][r] for r in (0, 1) if r in tables[0]), default=0)
+    need, picked = {0, 1}, []  # what the entries still to pick must sum to, mod d
+    for j, aj in enumerate(spec.a):
+        after = {(r - aj) % spec.d for r in need}
+        if left and any(tables[j + 1].get(r) == left - 1 if left > 1 else r == 0 for r in after):
+            picked.append(j)
+            need, left = after, left - 1
+    return tuple(picked) or None
 
 
 def width_one_functional(spec: SimplexSpec, subset: tuple[int, ...]) -> tuple[int, ...]:

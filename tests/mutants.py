@@ -56,6 +56,10 @@ MUTANTS = (
      "the extension report's horizon rounds the ray start down"),
     ("classify.py", "min_entry <= t[0] <= a_max and", "min_entry <= t[0] and",
      "reference_triples ignores a_max"),
+    ("arith.py", "table[s] = min(", "table[s] = max(",
+     "subset_residues keeps a larger size for a residue it has already reached"),
+    ("simplex.py", "need, picked = {0, 1}, []", "need, picked = {0}, []",
+     "width_one's walk accepts only the target 0"),
 )
 
 

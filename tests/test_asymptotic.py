@@ -1,11 +1,11 @@
 import random
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations, combinations_with_replacement, permutations
 
 import pytest
 
 from oracle import criterion_sides, failures, rem
 
-from hollowsimplex.arith import remainder_sum, subset_sums
+from hollowsimplex.arith import remainder_sum
 from hollowsimplex.asymptotic import (
     CriterionWitness,
     _residue_one,
@@ -197,17 +197,15 @@ def test_permutation_invariance():
 
 
 def test_subset_scan_matches_enumeration():
-    # the whole complement first, then at most aj // 2 enumerated subsets;
-    # every hit is a subset that full enumeration finds too
+    # exact: true iff some nonempty subset of the other entries sums to 1 mod the entry
     for k in (3, 4):
         for a in combinations_with_replacement(range(1, 11), k):
             for j, aj in enumerate(a):
                 others = a[:j] + a[j + 1:]
-                hits = [total % aj == 1 for _, total in subset_sums(others)]
-                capped = sum(others) % aj == 1 or any(hits[: aj // 2])
-                assert _residue_one(others, aj) == capped, (a, j)
-                if capped:
-                    assert any(hits), (a, j)
+                hit = any(
+                    sum(sub) % aj == 1 for size in range(1, k) for sub in combinations(others, size)
+                )
+                assert _residue_one(others, aj) == hit, (a, j)
 
 
 def test_residue_one_examples():

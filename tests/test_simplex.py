@@ -31,7 +31,7 @@ from hollowsimplex.simplex import (
 )
 
 from conftest import heights_by_scan
-from oracle import box_walk, empty_reason
+from oracle import box_walk, empty_reason, width_one_subset
 
 
 def test_spec_validation():
@@ -186,12 +186,41 @@ def test_empty_sufficient_matches_full_union_rule():
 
 
 def test_empty_sufficient_stops_at_content_one():
-    # 24 threes mod 7: the first zero-sum subset (seven threes) already has
-    # content 1 with d, found after 190,050 of the 2^24 - 1 subsets
+    # 24 threes mod 7: seven threes sum to 0, so index 0 joins the union and
+    # brings its content with d to 1 before any other index is tested
     spec = SimplexSpec((3,) * 24, 7)
     started = time.perf_counter()
     assert empty_sufficient(spec) == GCD_UNION
     assert time.perf_counter() - started < 2
+
+
+def test_subset_rules_match_enumeration():
+    # every order of 2-3 entries and every multiset of 4-5, entries in [1, 9]
+    tuples = chain(
+        product(range(1, 10), repeat=2),
+        product(range(1, 10), repeat=3),
+        combinations_with_replacement(range(1, 10), 4),
+        combinations_with_replacement(range(1, 10), 5),
+    )
+    for a in tuples:
+        for d in range(2, 14):
+            spec = SimplexSpec(a, d)
+            assert width_one(spec) == width_one_subset(a, d), spec
+            assert empty_sufficient(spec) == empty_reason(a, d), spec
+
+
+@pytest.mark.parametrize(
+    "a, d, subset, reason",
+    [
+        ((2,) * 22, 41, tuple(range(21)), None),
+        ((2,) * 40, 1009, None, None),
+        ((3,) * 24, 7, tuple(range(5)), GCD_UNION),
+    ],
+)
+def test_subset_rules_on_long_tuples(a, d, subset, reason):
+    # 2^22 - 1 subsets and more, out of an enumeration's reach
+    spec = SimplexSpec(a, d)
+    assert (width_one(spec), empty_sufficient(spec)) == (subset, reason)
 
 
 def test_empty_sufficient_never_contradicts_oracle():
