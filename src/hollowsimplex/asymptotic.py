@@ -70,17 +70,20 @@ def criterion_failures(a: Sequence[int], half: bool) -> Iterator[tuple[int, ...]
     the midpoint a(i)/2 is a genuine fixed point of that reduction and is
     kept.
 
-    An entry is skipped when `_residue_one` finds a subset S of the other
-    entries summing to 1 mod a(i). For every t the terms rem_pos(a(i),
-    t*a(j)) over S lie in [1, a(i)] and sum to a number congruent to t, so
-    at most t + (|S|-1)*a(i); the remaining n-2-|S| terms add at most a(i)
-    each, and the inequality holds for every t. Entries equal to 1 count in
-    S too.
+    An entry is skipped when a subset S of the other entries sums to 1 mod
+    a(i): the whole complement, an O(1) test that certifies every entry of
+    the doubling family, else any S that `_residue_one` finds. For every t
+    the terms rem_pos(a(i), t*a(j)) over S lie in [1, a(i)] and sum to a
+    number congruent to t, so at most t + (|S|-1)*a(i); the other n-2-|S|
+    terms add at most a(i) each, and the inequality holds for every t.
+    Entries equal to 1 count in S too.
     """
-    shift = len(a) - 2
+    shift, total = len(a) - 2, sum(a)
     for i, ai in enumerate(a):
+        if ai < 2 or (total - ai) % ai == 1:
+            continue
         others = [aj % ai for j, aj in enumerate(a) if j != i]
-        if ai < 2 or _residue_one(others, ai):
+        if _residue_one(others, ai):
             continue
         bound = shift * ai
         for t in range(1, (ai // 2 if half else ai - 1) + 1):
@@ -103,15 +106,15 @@ def is_asymptotically_hollow(a: Sequence[int]) -> bool:
 
 
 def _residue_one(others: Sequence[int], entry: int) -> bool:
-    """Whether some nonempty subset of others sums to 1 mod entry. The whole
-    complement, tried first, certifies every entry of the doubling family."""
-    return sum(others) % entry == 1 or any(1 in t for t in subset_residues(others, entry))
+    """Whether some nonempty subset of others sums to 1 mod entry."""
+    return any(1 in t for t in subset_residues(others, entry))
 
 
 class StabilityThresholds(NamedTuple):
     """Bounds on N above which the criterion decides hollowness of (a; N).
 
-    m_bound makes the criterion sufficient, M_bound also necessary, and
+    m_bound = max (a(i) - 1)*a(j) over i != j makes the criterion
+    sufficient, M_bound = (sum(a) - 1)*max(a(i) - 1) also necessary, and
     C = max of the two is the stabilization point.
     """
 
@@ -124,12 +127,8 @@ class StabilityThresholds(NamedTuple):
 
 
 def stability_thresholds(a: Sequence[int]) -> StabilityThresholds:
-    a = ascending(a)
-    m_bound = max(
-        (a[i] - 1) * a[j] for i in range(len(a)) for j in range(len(a)) if i != j
-    )
-    big_m = (sum(a) - 1) * max(v - 1 for v in a)
-    return StabilityThresholds(m_bound=m_bound, M_bound=big_m)
+    a = ascending(a)  # both maxima sit at the two largest entries
+    return StabilityThresholds((a[-1] - 1) * a[-2], (sum(a) - 1) * (a[-1] - 1))
 
 
 def robust_stability_point(a: Sequence[int]) -> int:

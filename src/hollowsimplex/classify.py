@@ -9,6 +9,7 @@ reference_triples holds the known complete answer for cross-checking.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import NamedTuple, Sequence
 
 from .arith import parallel_map
@@ -122,10 +123,10 @@ def family_identities(a: Sequence[int]) -> dict[str, bool]:
     a = tuple(a)
     if len(a) < 3:
         raise ValueError("identities need at least three entries")
-    total = sum(a)
+    *prefix, total = accumulate(a)  # prefix[j - 1] = a[0] + ... + a[j - 1]
     return {
         "first_pair_sum": a[0] + a[1] == a[2] + 1,
-        "prefix_sums": all(sum(a[:j]) == a[j] + 1 for j in range(2, len(a))),
+        "prefix_sums": all(prefix[j - 1] == a[j] + 1 for j in range(2, len(a))),
         "complement_mod_first": (total - a[0]) % a[0] == 1,
         "complement_mod_second": (total - a[1]) % a[1] == 1,
     }

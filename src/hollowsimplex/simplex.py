@@ -279,21 +279,21 @@ def empty_sufficient(spec: SimplexSpec) -> Optional[str]:
     the entries whose sum is divisible by d; the values at those indices,
     together with d, have content 1. A returned reason guarantees is_empty.
 
-    Index i is in the union when a(i) = 0 or a subset of the other entries
-    reaches -a(i), mod d; one table of all entries first tells if any does.
+    One pass over the m entries maps each residue mod d reached by a
+    nonempty subset to the gcd of d and the entries of all such subsets, in
+    O(m * min(2^m, d)). Values only shrink, so it stops once 0 maps to 1.
     """
-    from .arith import subset_residues
-
     full, a, d = spec.row, spec.a, spec.d
     if any(ai == 1 and math.gcd(*full[:i], *full[i + 1:]) == 1 for i, ai in enumerate(a)):
         return UNIT_ENTRY
-    g = d
-    if any(0 in t for t in subset_residues(a, d)):  # else the union is empty
-        for i, ai in enumerate(a):
-            if ai % d == 0 or any(-ai % d in t for t in subset_residues(a[:i] + a[i + 1:], d)):
-                g = math.gcd(g, ai)
-                if g == 1:
-                    return GCD_UNION
+    gcds: dict[int, int] = {}  # residue -> gcd of d and the entries of its subsets
+    for v in a:
+        rest, gcds[v % d] = gcds.copy(), math.gcd(gcds.get(v % d, d), v)
+        for r, g in rest.items():
+            s = (r + v) % d
+            gcds[s] = math.gcd(gcds.get(s, d), g, v)
+        if gcds.get(0) == 1:
+            return GCD_UNION
     return None
 
 

@@ -36,8 +36,8 @@ MUTANTS = (
      "the gap test proscribes y at y*e == s*(y*m mod a(i))"),
     ("asymptotic.py", "ai // 2 if half", "ai // 2 - 1 if half",
      "the witness's half range stops at a(i)//2 - 1"),
-    ("asymptotic.py", "sum(others) % entry == 1 or", "sum(others) % entry in (1, 2) or",
-     "the residue-one certificate accepts residue 2"),
+    ("asymptotic.py", "(total - ai) % ai == 1:", "(total - ai) % ai in (1, 2):",
+     "the whole-complement certificate accepts residue 2"),
     ("simplex.py", "(d, d - 1) if interior", "(d, d) if interior",
      "the stretch walk's interior bound admits boundary points"),
     ("residues.py", "if r != 2 or x % 4 == 2:", "if True:",
@@ -60,6 +60,12 @@ MUTANTS = (
      "subset_residues keeps a larger size for a residue it has already reached"),
     ("simplex.py", "need, picked = {0, 1}, []", "need, picked = {0}, []",
      "width_one's walk accepts only the target 0"),
+    ("simplex.py", "math.gcd(gcds.get(s, d), g, v)", "math.gcd(gcds.get(s, d), g)",
+     "empty_sufficient's gcd table drops the entry that extends a subset"),
+    ("asymptotic.py", "(a[-1] - 1) * a[-2]", "(a[-2] - 1) * a[-1]",
+     "m_bound takes (a(i) - 1)*a(j) at the wrong pair of largest entries"),
+    ("classify.py", "prefix[j - 1] == a[j] + 1", "prefix[j] == a[j] + 1",
+     "the prefix sums are off by one entry"),
 )
 
 

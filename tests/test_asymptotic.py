@@ -3,7 +3,7 @@ from itertools import combinations, combinations_with_replacement, permutations
 
 import pytest
 
-from oracle import criterion_sides, failures, rem
+from oracle import criterion_sides, failures, rem, thresholds
 
 from hollowsimplex.arith import remainder_sum
 from hollowsimplex.asymptotic import (
@@ -96,6 +96,16 @@ def test_thresholds_examples():
     assert (th.m_bound, th.M_bound, th.C) == (2, 3, 3)
     th = stability_thresholds((1, 1))
     assert (th.m_bound, th.M_bound, th.C) == (0, 0, 0)
+
+
+def test_thresholds_match_pairwise_oracle():
+    # repeated maxima and entries equal to 1 included
+    rng = random.Random(17)
+    for _ in range(2000):
+        a = [rng.randint(1, rng.choice((3, 20, 1000))) for _ in range(rng.randint(2, 7))]
+        a += [max(a)] * rng.randint(0, 2) + [1] * rng.randint(0, 2)
+        rng.shuffle(a)
+        assert tuple(stability_thresholds(a)) == thresholds(a), a
 
 
 def test_robust_point_dominates_classical():

@@ -1,3 +1,5 @@
+import random
+
 import oracle
 import pytest
 
@@ -36,6 +38,28 @@ def test_family_identities():
 def test_family_is_asymptotically_hollow():
     for n in range(4, 61):
         assert is_asymptotically_hollow(doubling_family(n)), n
+
+
+def prefix_tuple(first, second, length, bad=None, delta=1):
+    """A tuple whose prefix-sum identity holds at every j >= 2 except at `bad`."""
+    a = [first, second]
+    while len(a) < length:
+        a.append(sum(a) - 1 + (delta if len(a) == bad else 0))
+    return tuple(a)
+
+
+def test_family_identities_match_oracle():
+    rng = random.Random(23)
+    tuples = [tuple(rng.randint(1, 40) for _ in range(rng.randint(3, 8))) for _ in range(2000)]
+    for length in (3, 4, 7):
+        for bad in (None, 2, max(2, length // 2), length - 1):
+            first, second = rng.randint(1, 50), rng.randint(1, 50)
+            a = prefix_tuple(first, second, length, bad, rng.choice((1, 2, 5)))
+            assert family_identities(a)["prefix_sums"] == (bad is None), a
+            tuples.append(a)
+    tuples += [doubling_family(n) for n in range(4, 12)]
+    for a in tuples:
+        assert family_identities(a) == oracle.family_identities(a), a
 
 
 def test_verify_family_payload():

@@ -186,8 +186,8 @@ def test_empty_sufficient_matches_full_union_rule():
 
 
 def test_empty_sufficient_stops_at_content_one():
-    # 24 threes mod 7: seven threes sum to 0, so index 0 joins the union and
-    # brings its content with d to 1 before any other index is tested
+    # 24 threes mod 7: the seventh three brings residue 0 into the table,
+    # mapped to gcd(7, 3) = 1, and the pass stops there
     spec = SimplexSpec((3,) * 24, 7)
     started = time.perf_counter()
     assert empty_sufficient(spec) == GCD_UNION
@@ -221,6 +221,17 @@ def test_subset_rules_on_long_tuples(a, d, subset, reason):
     # 2^22 - 1 subsets and more, out of an enumeration's reach
     spec = SimplexSpec(a, d)
     assert (width_one(spec), empty_sufficient(spec)) == (subset, reason)
+
+
+def test_empty_sufficient_on_long_random_tuples():
+    # 19 entries mod a prime: only the last entry completes a subset summing to 0
+    rng = random.Random(29)
+    spec = SimplexSpec(tuple(rng.randint(2, 10**6) for _ in range(19)), 1000003)
+    assert empty_sufficient(spec) == GCD_UNION
+    # every value is even, so no gcd ever falls below 2 and the pass runs to the end
+    rng = random.Random(40)
+    spec = SimplexSpec(tuple(2 * rng.randint(1, 50020) for _ in range(40)), 100042)
+    assert empty_sufficient(spec) is None
 
 
 def test_empty_sufficient_never_contradicts_oracle():
