@@ -69,6 +69,21 @@ __all__ = list(_SUBMODULE)
 __version__ = "0.1.0"
 
 
+def _positive_integers(given: tuple) -> tuple[int, ...]:
+    """given as ints, for the entry tuples of `asymptotic.entries` and the rows of
+    `simplex.SimplexSpec`: a whole value such as 6.0 or True becomes its int, and any
+    other value, or one below 1, is refused. Each caller checks its own count first."""
+    try:
+        row = tuple(map(int, given))
+    except (TypeError, ValueError, OverflowError):
+        row = None
+    if row != given:
+        raise ValueError(f"entries must be integers, got {given}")
+    if any(v < 1 for v in row):
+        raise ValueError(f"entries must be positive, got {row}")
+    return row
+
+
 def __getattr__(name: str):
     from importlib import import_module
 

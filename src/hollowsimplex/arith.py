@@ -35,23 +35,24 @@ def subset_residues(values: Sequence[int], mod: int) -> Iterator[dict[int, int]]
         yield table
 
 
-def parallel_map(fn: Callable, jobs: Sequence, threads: int = 1) -> list:
+def parallel_map(fn: Callable, jobs: Iterable, threads: int = 1) -> list:
     """[fn(job) for job in jobs], shared with forked worker processes.
 
-    threads must lie in [1, os.cpu_count()] and is checked before any job
-    runs. The jobs are split k = max(1, min(threads, len(jobs))) ways, or
-    k = 1 where os.fork does not exist: this process computes jobs[0::k]
-    and k - 1 forked workers compute jobs[w::k], 1 <= w < k. jobs[0] runs
-    before any fork, so every worker inherits the modules fn loads lazily
-    instead of compiling them again. Results keep the order of jobs, so
-    output never depends on threads. An exception, here or in a worker, is
-    raised here with its type and message, and a worker that ends without a
-    result (killed, out of memory) raises RuntimeError. Every worker is
-    reaped before this returns.
+    threads must lie in [1, os.cpu_count()] and is checked before jobs, any
+    iterable, is listed, so a refused value builds no job. The jobs are
+    split k = max(1, min(threads, len(jobs))) ways, or k = 1 where os.fork
+    does not exist: this process computes jobs[0::k] and k - 1 forked
+    workers compute jobs[w::k], 1 <= w < k. jobs[0] runs before any fork, so
+    every worker inherits the modules fn loads lazily instead of compiling
+    them again. Results keep the order of jobs, so output never depends on
+    threads. An exception, here or in a worker, is raised here with its type
+    and message, and a worker that ends without a result (killed, out of
+    memory) raises RuntimeError. Every worker is reaped before this returns.
     """
     cpus = os.cpu_count() or 1
     if not 1 <= threads <= cpus:
         raise ValueError(f"threads must lie in [1, {cpus}], got {threads}")
+    jobs = list(jobs)
     k = max(1, min(threads, len(jobs))) if hasattr(os, "fork") else 1
     own = [fn(job) for job in jobs[:1]]
     if k > 1:  # imported before the forks, so that the workers inherit it

@@ -16,8 +16,9 @@ exact lattice-point decisions: one cell table per tuple in `simplex`.
 from __future__ import annotations
 
 import random
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
+from . import _positive_integers
 from .arith import parallel_map, remainder_sum, subset_residues
 
 
@@ -26,20 +27,12 @@ def entries(a: Sequence[int]) -> tuple[int, ...]:
 
     A whole value such as 6.0 or True becomes its int; any other value is
     refused. The one home of this rule for the criterion, `proscriptive` and
-    the CLI's tuple commands; `SimplexSpec` checks its own (a; d).
+    the CLI's tuple commands; `SimplexSpec` shares its core for (a; d).
     """
     given = tuple(a)
-    try:
-        t = tuple(map(int, given))
-    except (TypeError, ValueError, OverflowError):
-        t = None
-    if t != given:
-        raise ValueError(f"entries must be integers, got {given}")
-    if len(t) < 2:
-        raise ValueError(f"need at least two entries, got {t}")
-    if min(t) < 1:
-        raise ValueError(f"entries must be positive, got {t}")
-    return t
+    if len(given) < 2:
+        raise ValueError(f"need at least two entries, got {given}")
+    return _positive_integers(given)
 
 
 def ascending(a: Sequence[int]) -> tuple[int, ...]:
@@ -217,7 +210,7 @@ def _check_agreement(args: tuple[tuple[int, ...], int]) -> list[AgreementMismatc
 
 
 def agreement_sweep(
-    tuples: Sequence[Sequence[int]],
+    tuples: Iterable[Sequence[int]],
     window: int = 50,
     threads: int = 1,
 ) -> AgreementReport:
@@ -232,9 +225,9 @@ def agreement_sweep(
     """
     if window < 1:
         raise ValueError(f"window must be positive, got {window}")
-    jobs = [(ascending(a), window) for a in tuples]
+    jobs = ((ascending(a), window) for a in tuples)  # listed once threads is checked
     results = parallel_map(_check_agreement, jobs, threads)
     return AgreementReport(
-        tuples_checked=len(jobs), points_checked=len(jobs) * window,
+        tuples_checked=len(results), points_checked=len(results) * window,
         mismatches=tuple(m for bad in results for m in bad),
     )

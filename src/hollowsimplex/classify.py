@@ -78,7 +78,7 @@ def classify_triples(
     if a_max < 2 or x_max < a_max:
         raise ValueError(f"need 2 <= a_max <= x_max, got ({a_max}, {x_max})")
     lo = max(2, min_entry)
-    jobs = [(a, x, x_max) for a in range(lo, a_max + 1) for x in range(a, x_max + 1)]
+    jobs = ((a, x, x_max) for a in range(lo, a_max + 1) for x in range(a, x_max + 1))
     batches = parallel_map(_search_prefix, jobs, threads)
     return TripleSet.from_triples([t for batch in batches for t in batch])
 

@@ -216,33 +216,32 @@ def _cmd_family(args: SimpleNamespace) -> tuple[dict, Optional[bool]]:
 def _cmd_sset(args: SimpleNamespace) -> tuple[dict, Optional[bool]]:
     from . import residues
 
-    payload: dict[str, Any] = {}
-    verdict: Optional[bool] = None
-    if args.method in ("brute", "both"):
-        payload["members"] = list(residues.bounded_remainder_set(args.x, args.r, args.variant))
-    if args.method in ("closed", "both"):
-        if args.variant != residues.STRICT:
-            raise ValueError("closed form exists only for the strict variant")
-        payload["closed_form"] = list(residues.closed_form_remainder_set(args.x, args.r))
-    if args.method == "both":
-        verdict = payload["members"] == payload["closed_form"]
-        payload["agrees"] = verdict
+    if args.method == "brute":
+        return {"members": list(residues.bounded_remainder_set(args.x, args.r, args.variant))}, None
+    # the O(1) closed form first, so that its checks refuse before the brute force runs
+    if args.variant != residues.STRICT:
+        raise ValueError("closed form exists only for the strict variant")
+    closed = list(residues.closed_form_remainder_set(args.x, args.r))
     if args.method == "closed":
-        payload["members"] = payload.pop("closed_form")
-    return payload, verdict
+        return {"members": closed}, None
+    members = list(residues.bounded_remainder_set(args.x, args.r, args.variant))
+    agrees = members == closed
+    return {"members": members, "closed_form": closed, "agrees": agrees}, agrees
 
 
 def _cmd_agree(args: SimpleNamespace) -> tuple[dict, Optional[bool]]:
     from . import asymptotic
 
-    tuples = asymptotic.sample_tuples(
-        args.count,
-        lengths=tuple(range(args.min_len, args.max_len + 1)),
-        low=args.low,
-        high=args.high,
-        seed=args.seed,
-    )
-    report = asymptotic.agreement_sweep(tuples, window=args.window, threads=args.threads)
+    def sample() -> Iterator[tuple[int, ...]]:  # drawn once the sweep has checked its options
+        yield from asymptotic.sample_tuples(
+            args.count,
+            lengths=tuple(range(args.min_len, args.max_len + 1)),
+            low=args.low,
+            high=args.high,
+            seed=args.seed,
+        )
+
+    report = asymptotic.agreement_sweep(sample(), window=args.window, threads=args.threads)
     payload = {
         "tuples_checked": report.tuples_checked,
         "points_checked": report.points_checked,

@@ -19,6 +19,8 @@ import math
 from itertools import combinations, repeat
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional, Sequence
 
+from . import _positive_integers
+
 if TYPE_CHECKING:
     from fractions import Fraction
 
@@ -57,27 +59,16 @@ class _SimplexSpec(NamedTuple):
 
 
 class SimplexSpec(_SimplexSpec):
-    """The defining data (a(1), ..., a(n-1); d) of a lattice simplex."""
+    """The defining data (a(1), ..., a(n-1); d) of a lattice simplex, all whole and positive."""
 
     __slots__ = ()
 
     def __new__(cls, a, d) -> "SimplexSpec":
-        # whole values such as 6.0 or True become ints; any other value is refused
-        given = (*a, d)
-        try:
-            row = tuple(map(int, given))
-        except (TypeError, ValueError, OverflowError):
-            row = None
-        if row != given:
-            raise ValueError(f"entries and d must be integers, got {given[:-1]} and {d!r}")
-        a, d = row[:-1], row[-1]
-        if len(a) < 2:
+        row = (*a, d)
+        if len(row) < 3:
             raise ValueError("need at least two entries (ambient dimension >= 3)")
-        if any(v < 1 for v in a):
-            raise ValueError(f"entries must be positive, got {a}")
-        if d < 1:
-            raise ValueError(f"last entry must be positive, got {d}")
-        return super().__new__(cls, a, d)
+        row = _positive_integers(row)
+        return super().__new__(cls, row[:-1], row[-1])
 
 
 class LatticePointReport(NamedTuple):

@@ -44,12 +44,18 @@ MUTANTS = (
      "closed_form_members loses its r = 2 branch"),
     ("arith.py", "jobs[k::k]]", "jobs[k:-1:k]]",
      "parallel_map drops the last job of the calling process's share"),
+    ("arith.py", "cpus = os.cpu_count() or 1", "jobs = list(jobs)\n    cpus = os.cpu_count() or 1",
+     "parallel_map lists the jobs before it checks threads"),
     ("simplex.py", "scale * charge < hi * excess:", "scale * charge < hi * excess - 1:",
      "_hollow_by_n drops a cell that can hold an interior point"),
-    ("asymptotic.py", "if min(t) < 1:", "if min(t) < 0:",
-     "the entry-tuple rule accepts 0"),
+    ("__init__.py", "if any(v < 1 for v in row):", "if any(v < 0 for v in row):",
+     "the whole-number rule of entry tuples and specs accepts 0"),
     ("cli.py", 'or name == "threads" or', "or",
      "the document's input echoes --threads"),
+    ("cli.py", "    closed = list(residues.closed_form_remainder_set(",
+     "    list(residues.bounded_remainder_set(args.x, args.r, args.variant))\n"
+     "    closed = list(residues.closed_form_remainder_set(",
+     "sset --method both runs the brute force before the closed form's checks"),
     ("cli.py", "digits.isascii() and digits.isdigit()", "True",
      "the integer rule accepts anything int() accepts, such as '1_0'"),
     ("proscriptive.py", "-(-ray[0] // ray[1])", "ray[0] // ray[1]",

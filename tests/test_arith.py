@@ -42,6 +42,17 @@ def test_parallel_map_keeps_job_order(n, no_child_left):
     assert len(set(pids)) == min(n, THREADS)
 
 
+def test_parallel_map_checks_threads_before_it_lists_the_jobs(no_child_left):
+    def jobs():
+        raise AssertionError("a job was built")
+        yield
+
+    with pytest.raises(ValueError, match=r"^threads must lie in \[1, "):
+        parallel_map(abs, jobs(), threads=(os.cpu_count() or 1) + 1)
+    # any iterable of jobs is taken, and listed once
+    assert parallel_map(abs, (-j for j in range(5)), threads=THREADS) == [0, 1, 2, 3, 4]
+
+
 def test_parallel_map_without_fork_runs_every_job_here(monkeypatch, no_child_left):
     monkeypatch.delattr(os, "fork")
     out = parallel_map(_square_with_pid, list(range(5)), threads=THREADS)

@@ -240,6 +240,45 @@ def test_invalid_inputs_exit_two(capsys):
         assert repr(argv[2]) in err, err
 
 
+@pytest.mark.parametrize("argv, line", [
+    (["--x", "60000", "--r", "2", "--variant", "exempt"],
+     "closed form exists only for the strict variant"),
+    (["--x", "10", "--r", "5"], "closed form requires x >= r^2 = 25, got 10"),
+])
+def test_sset_checks_the_closed_form_before_the_brute_force(argv, line, monkeypatch, capsys):
+    from hollowsimplex import residues
+
+    def brute_force(*args):
+        raise AssertionError("the brute force ran before the closed form's checks")
+
+    monkeypatch.setattr(residues, "bounded_remainder_set", brute_force)
+    assert cli.main(["sset", *argv, "--method", "both"]) == 2
+    assert capsys.readouterr() == ("", f"error: {line}\n")
+
+
+_CPUS = os.cpu_count() or 1
+
+
+@pytest.mark.parametrize("argv, line", [
+    # about 2e10 prefix jobs
+    (["classify", "--a-max", "2000", "--x-max", "10000000", "--threads", str(_CPUS + 1)],
+     f"threads must lie in [1, {_CPUS}], got {_CPUS + 1}"),
+    (["agree", "--count", "1000000000", "--window", "0"], "window must be positive, got 0"),
+])
+def test_refusal_comes_before_the_work_it_guards(argv, line):
+    # Under a 400 MB address space, listing the jobs or drawing the sample
+    # ends in MemoryError; a refusal that comes first builds neither.
+    limit = 400 << 20
+    code = ("import resource, sys\n"
+            f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+            "from hollowsimplex.cli import main\n"
+            f"sys.exit(main({argv!r}))\n")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(hollowsimplex.__file__))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {line}\n")
+
+
 # Each command with its required options, and every option it then parses
 # to: a spec to a SimplexSpec and a tuple to its ints, each converted once.
 _PARSED = [

@@ -198,18 +198,19 @@ def test_simplex_spec_validates_and_coerces():
     assert simplex.SimplexSpec(a=(2, 3), d=13) == simplex.SimplexSpec((2, 3), 13)
     with pytest.raises(ValueError, match=r"^need at least two entries \(ambient dimension >= 3\)$"):
         simplex.SimplexSpec((2,), 5)
-    with pytest.raises(ValueError, match=r"^entries must be positive, got \(2, 0\)$"):
+    # the whole-number rule of entry tuples, written over the whole row (a..., d)
+    with pytest.raises(ValueError, match=r"^entries must be positive, got \(2, 0, 5\)$"):
         simplex.SimplexSpec((2, 0), 5)
-    with pytest.raises(ValueError, match=r"^last entry must be positive, got 0$"):
+    with pytest.raises(ValueError, match=r"^entries must be positive, got \(2, 3, 0\)$"):
         simplex.SimplexSpec((2, 3), 0)
     spec = simplex.SimplexSpec((3, 5, 7), 30.0)  # d is coerced as the entries are
     assert type(spec.d) is int and simplex.is_hollow(spec)
     # a value that is not whole is refused, never truncated
-    for a, d, shown in (((3.7, 5), 30, r"\(3\.7, 5\) and 30"),
-                        ((3, 5, 7), 30.5, r"\(3, 5, 7\) and 30\.5"),
-                        ((3, "5"), 30, r"\(3, '5'\) and 30"),
-                        ((3, 5), None, r"\(3, 5\) and None")):
-        with pytest.raises(ValueError, match=rf"^entries and d must be integers, got {shown}$"):
+    for a, d, shown in (((3.7, 5), 30, r"\(3\.7, 5, 30\)"),
+                        ((3, 5, 7), 30.5, r"\(3, 5, 7, 30\.5\)"),
+                        ((3, "5"), 30, r"\(3, '5', 30\)"),
+                        ((3, 5), None, r"\(3, 5, None\)")):
+        with pytest.raises(ValueError, match=rf"^entries must be integers, got {shown}$"):
             simplex.SimplexSpec(a, d)
 
 
