@@ -8,9 +8,11 @@ every entry a(i) >= 2 and every multiplier t in [1, a(i) - 1],
 
 where rem_pos(x, y) is y mod x shifted into {1, ..., x}.
 
-Once N clears the stability threshold C the hollowness of (a; N) no longer
-depends on N (for rows of content 1), which `agreement_sweep` checks against
-exact lattice-point decisions: one cell table per tuple in `simplex`.
+Past `robust_stability_point(a)` the hollowness of (a; N) no longer
+depends on N; the classical threshold C falls short of that for ten triples
+with entries in [2, 13] (see that function). `agreement_sweep` checks this
+against exact lattice-point decisions on a window of N past that point: one
+cell table per tuple in `simplex`.
 """
 
 from __future__ import annotations

@@ -50,6 +50,11 @@ class TripleSet(NamedTuple):
         return cls(sporadic=tuple(rest), family_xs=tuple(family))
 
 
+def _check_box(a_max: int, x_max: int) -> None:
+    if a_max < 2 or x_max < a_max:
+        raise ValueError(f"need 2 <= a_max <= x_max, got ({a_max}, {x_max})")
+
+
 def _search_prefix(args: tuple[int, int, int]) -> list[Triple]:
     # Imported on use: the doubling family never needs the extension search.
     from .proscriptive import extension_search
@@ -75,8 +80,7 @@ def classify_triples(
     so the output is exactly the ascending triples whose largest entry stays
     within x_max. min_entry > 2 probes for large least entries.
     """
-    if a_max < 2 or x_max < a_max:
-        raise ValueError(f"need 2 <= a_max <= x_max, got ({a_max}, {x_max})")
+    _check_box(a_max, x_max)
     lo = max(2, min_entry)
     jobs = ((a, x, x_max) for a in range(lo, a_max + 1) for x in range(a, x_max + 1))
     batches = parallel_map(_search_prefix, jobs, threads)
@@ -86,8 +90,7 @@ def classify_triples(
 def reference_triples(a_max: int, x_max: int, min_entry: int = 2) -> TripleSet:
     """The known complete triple list in the box of classify_triples: least entry
     in [min_entry, a_max], every entry <= x_max."""
-    if a_max < 2 or x_max < a_max:
-        raise ValueError(f"need 2 <= a_max <= x_max, got ({a_max}, {x_max})")
+    _check_box(a_max, x_max)
     sporadic = tuple(
         t for t in SPORADIC_TRIPLES if min_entry <= t[0] <= a_max and t[2] <= x_max
     )

@@ -44,15 +44,6 @@ def bounded_remainder_set(x: int, r: int, variant: str = STRICT) -> tuple[int, .
     return tuple(members)
 
 
-def closed_form_members(x: int, r: int) -> tuple[int, ...]:
-    """The three-branch formula, evaluated without the validity gate."""
-    if x % r != 0:
-        return tuple(sorted({1, x - r, x - (r - 1)}))
-    if r != 2 or x % 4 == 2:
-        return tuple(sorted({1, x - (r - 1)}))
-    return tuple(sorted({1, x // 2 - 1, x - 1}))
-
-
 def closed_form_remainder_set(x: int, r: int) -> tuple[int, ...]:
     """Closed form of the strict set's members under the nominal hypothesis x >= r*r.
 
@@ -65,5 +56,8 @@ def closed_form_remainder_set(x: int, r: int) -> tuple[int, ...]:
     _validate(x, r)
     if x < r * r:
         raise ValueError(f"closed form requires x >= r^2 = {r * r}, got {x}")
-    return closed_form_members(x, r)
-
+    if x % r != 0:
+        return tuple(sorted({1, x - r, x - (r - 1)}))
+    if r != 2 or x % 4 == 2:
+        return tuple(sorted({1, x - (r - 1)}))
+    return tuple(sorted({1, x // 2 - 1, x - 1}))

@@ -6,8 +6,8 @@ lattice point of this simplex has a unique barycentric decomposition whose
 last coordinate is k/d for some k in [1, d-1], so hollowness and emptiness
 reduce to an exact integer scan over k. That scan is the ground-truth oracle
 for everything else in the package. It walks stretches of k on which the
-charges of the entries with small residues are linear: O(n) per stretch, at
-most sum(min(s, d - s)) + 1 stretches over those entries' residues s, plus
+charges of the entries with small residues are linear: O(those entries) per
+stretch, at most sum(min(s, d - s)) + 1 stretches over their residues s, plus
 O(n) per height on each stretch's half-line of candidates. The hollowness of
 (a; N) at many N for one small tuple comes instead from a cell table built
 once per tuple (`_hollow_by_n`), which the tests check against the scan.
@@ -81,7 +81,7 @@ class LatticePointReport(NamedTuple):
 
 
 # How many heights the per-height test can scan in the time one stretch costs
-# (one full test plus the updates at its breakpoint); it sizes the slow budget.
+# (its half-line bounds and breakpoint updates); it sizes the slow budget.
 _STRETCH_COST_RATIO = 32
 
 
@@ -93,71 +93,68 @@ def _heights(spec: SimplexSpec, interior: bool) -> Iterator[int]:
     interior points a zero residue is charged d and the sum must be < d.
 
     With s = a(i) mod d and w = min(s, d - s), the charge of entry i is
-    linear in k between the heights where q = floor(k*w/d) changes:
-    d*(1 + q) - k*w when w = s, k*w - q*d when w = d - s. Entries with
-    s != 0 and the least w, up to a total w of d // _STRETCH_COST_RATIO, are
-    "slow": [1, d) is cut into stretches at their breakpoints, on each
-    stretch k plus the slow charges is c + sigma*k, and only the heights on
-    the half-line c + sigma*k <= bound get the per-height test over the
-    remaining ("fast") entries. The first height of a stretch can carry a
-    zero slow residue, so it gets the full test. Cost: O(n) per stretch,
-    at most sum(w) + 1 stretches, plus O(n) per height on the half-lines.
+    linear in k between breakpoints. With q = floor(k*w/d) its floor form is
+    d*(1 + q) - k*w when w = s and k*w - q*d when w = d - s, breaking at
+    ceil(j*d/w); with p = ceil(k*w/d) its ceiling form is d*p - k*w and
+    k*w - d*(p - 1), breaking at floor(j*d/w) + 1. Both equal d - r_i when
+    r_i != 0, and d - w or w at k = 1. When r_i = 0 the floor form charges
+    d (w = s) or 0 (w = d - s) and the ceiling form 0 or d, so each entry
+    takes the form exact at every height: ceiling for w = s on all points
+    and for w = d - s on interior points, floor in the other two (sign,
+    mode) cases. Entries with s != 0 and the least w, up to a total w of
+    d // _STRETCH_COST_RATIO, are "slow": [1, d) is cut into stretches at
+    their breakpoints, on each stretch k plus the slow charges is
+    c + sigma*k, and only the heights on the half-line c + sigma*k <= bound
+    get the per-height test over the remaining ("fast") entries. Cost:
+    O(slow entries) per stretch, at most sum(w) + 1 stretches, plus O(n)
+    per height on the half-lines.
     """
     d = spec.d
     zero, bound = (d, d - 1) if interior else (0, d)
-    residues = [ai % d for ai in spec.a]
     budget = d // _STRETCH_COST_RATIO
-    fast = list(residues)
-    slow = []  # [w, change of c at a breakpoint, least k where floor(k*w/d) grows]
+    fast = [ai % d for ai in spec.a]  # the residues, less each slow one below
+    slow = []  # [w, change of c at a breakpoint, num, next breakpoint num // w]
     c, sigma = 0, 1
     # (w, s) for the entries with 0 < w <= budget, the only ones that can be slow
-    small = [
-        (min(s, d - s), s) for s in residues if s and (s <= budget or s >= d - budget)
-    ]
+    small = [(min(s, d - s), s) for s in fast if s and (s <= budget or s >= d - budget)]
     for w, s in sorted(small):
         if w > budget:
             break
         budget -= w
         fast.remove(s)
         if w == s:
-            c += d
-            sigma -= w
-            slow.append([w, d, -(-d // w)])
+            c, sigma, step = c + d, sigma - w, d
         else:
-            sigma += w
-            slow.append([w, -d, -(-d // w)])
+            sigma, step = sigma + w, -d
+        # num = j*d + w - 1 + ceiling for the next breakpoint j, so num // w is
+        # ceil(j*d/w) in the floor form and floor(j*d/w) + 1 in the ceiling form
+        num = d + w - 1 + ((w == s) != interior)
+        slow.append([w, step, num, num // w])
     start = 1
     while start < d:
-        end = min([nxt for _, _, nxt in slow], default=d)
-        total = start
-        for s in residues:
-            r = start * s % d
-            total += d - r if r else zero
-            if total > bound:
-                break
-        else:
-            yield start
-        lo, hi = start + 1, end
+        end = min([entry[3] for entry in slow] + [d])
+        lo, hi = start, end
         if sigma > 0:
             hi = min(hi, (bound - c) // sigma + 1)
         elif sigma < 0:
             lo = max(lo, -((c - bound) // sigma))
         elif c > bound:
             hi = lo
-        bases = range(c + sigma * lo, c + sigma * hi, sigma) if sigma else repeat(c)
-        for k, total in zip(range(lo, hi), bases):
-            for s in fast:
-                r = k * s % d
-                total += d - r if r else zero
-                if total > bound:
-                    break
-            else:
-                yield k
+        if lo < hi:
+            bases = range(c + sigma * lo, c + sigma * hi, sigma) if sigma else repeat(c)
+            for k, total in zip(range(lo, hi), bases):
+                for s in fast:
+                    r = k * s % d
+                    total += d - r if r else zero
+                    if total > bound:
+                        break
+                else:
+                    yield k
         for entry in slow:
-            w, step, nxt = entry
-            if nxt == end:
-                c += step
-                entry[2] = -(-(end * w // d + 1) * d // w)
+            if entry[3] == end:
+                c += entry[1]
+                entry[2] += d
+                entry[3] = entry[2] // entry[0]
         start = end
 
 

@@ -41,11 +41,16 @@ MUTANTS = (
     ("simplex.py", "(d, d - 1) if interior", "(d, d) if interior",
      "the stretch walk's interior bound admits boundary points"),
     ("residues.py", "if r != 2 or x % 4 == 2:", "if True:",
-     "closed_form_members loses its r = 2 branch"),
+     "closed_form_remainder_set loses its r = 2 branch"),
     ("arith.py", "jobs[k::k]]", "jobs[k:-1:k]]",
      "parallel_map drops the last job of the calling process's share"),
     ("arith.py", "cpus = os.cpu_count() or 1", "jobs = list(jobs)\n    cpus = os.cpu_count() or 1",
      "parallel_map lists the jobs before it checks threads"),
+    ("simplex.py", "((w == s) != interior)", "((w == s) == interior)",
+     "the stretch walk charges each slow entry in the form that is wrong at a zero residue"),
+    ("simplex.py", "slow.append([w, step, num, num // w])",
+     "slow.append([w, step, num, -(-d // w)])",
+     "the ceiling form's first breakpoint is taken as ceil(d/w)"),
     ("simplex.py", "scale * charge < hi * excess:", "scale * charge < hi * excess - 1:",
      "_hollow_by_n drops a cell that can hold an interior point"),
     ("__init__.py", "if any(v < 1 for v in row):", "if any(v < 0 for v in row):",

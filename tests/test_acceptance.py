@@ -23,7 +23,7 @@ from hollowsimplex.classify import (
     doubling_family,
     family_identities,
 )
-from hollowsimplex.residues import bounded_remainder_set, closed_form_members
+from hollowsimplex.residues import bounded_remainder_set, closed_form_remainder_set
 from hollowsimplex.simplex import SimplexSpec, is_empty, is_hollow
 
 
@@ -54,7 +54,7 @@ def test_acceptance_2_residue_sets():
     for r in range(2, 9):
         for x in range(r * r, 301):
             brute = bounded_remainder_set(x, r)
-            closed = closed_form_members(x, r)
+            closed = closed_form_remainder_set(x, r)
             if brute != closed:
                 disagreements[(x, r)] = (brute, closed)
     ok = set(disagreements) == known_defects

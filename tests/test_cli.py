@@ -38,8 +38,8 @@ def test_asym_false_exit_one_with_witness():
 
 
 def test_asym_entries_past_sys_maxsize():
-    # the residue-one certificate search counts its entry // 2 subsets with a
-    # range, which takes any int
+    # the t-range is a range, which takes any int, and the residue-one rule
+    # tabulates subsets of the other entries, never the units of the entry
     big = 10 ** 20
     code, doc = _payload(["asym", "--tuple", f"3,{big}"])
     assert code == 1

@@ -2,11 +2,11 @@ import math
 
 import pytest
 
+import oracle
 from hollowsimplex.residues import (
     EXEMPT,
     STRICT,
     bounded_remainder_set,
-    closed_form_members,
     closed_form_remainder_set,
 )
 
@@ -40,7 +40,7 @@ def test_known_formula_defects():
     # at exactly these two points
     for x, r in ((9, 2), (14, 3)):
         brute = set(bounded_remainder_set(x, r))
-        closed = set(closed_form_members(x, r))
+        closed = set(closed_form_remainder_set(x, r))
         extra = brute - closed
         assert closed <= brute
         assert len(extra) == 1
@@ -54,7 +54,7 @@ def test_equivalence_medium_sweep():
             if (x, r) in ((9, 2), (14, 3)):
                 continue
             assert (
-                bounded_remainder_set(x, r) == closed_form_members(x, r)
+                bounded_remainder_set(x, r) == closed_form_remainder_set(x, r)
             ), (x, r)
 
 
@@ -79,14 +79,15 @@ def test_closed_form_hypothesis_is_sharp():
     # for 4 <= r <= 8 the formula holds from x = r^2 on and fails just below
     for r in range(4, 9):
         for x in range(r * r, r * r + 41):
-            assert bounded_remainder_set(x, r) == closed_form_members(x, r), (x, r)
+            assert bounded_remainder_set(x, r) == closed_form_remainder_set(x, r), (x, r)
+        # the gated function refuses x < r^2, so the formula comes from the oracle
         below = r * r - 1
-        assert bounded_remainder_set(below, r) != closed_form_members(below, r), r
+        assert list(bounded_remainder_set(below, r)) != oracle.residue_formula(below, r), r
     # for r = 2, 3 the pinned defects are the only ones at or past r^2
     defects = [
         (x, r)
         for r in (2, 3)
         for x in range(r * r, 200)
-        if bounded_remainder_set(x, r) != closed_form_members(x, r)
+        if bounded_remainder_set(x, r) != closed_form_remainder_set(x, r)
     ]
     assert defects == [(9, 2), (14, 3)]

@@ -98,6 +98,14 @@ def _stretch_walk_specs():
         tops = [rng.choice((d // 16 + 1, 2 * d + 5)) for _ in range(rng.randint(2, 6))]
         a = tuple(rng.randint(1, top) for top in tops)
         specs.append(SimplexSpec(a, d))
+    # slow entries s = w and s = d - w with w | d, whose residues vanish at
+    # stretch starts at the shipped ratio too; in the first two the points
+    # lie only at such starts (k = 64j, and k = 128, 256, 512, 640)
+    specs += [SimplexSpec(a, 1024) for a in ((16, 1008, 5), (8, 1016, 3))]
+    specs += [
+        SimplexSpec((w, d - w, x), d)
+        for d in (720, 1024) for w in (2, 4, 8, 16) for x in (1, 3, 5, d // 2 + 1)
+    ]
     return specs
 
 
