@@ -1,24 +1,14 @@
-"""Exact integer primitives, and the one process pool.
+"""The two kernels that two modules share: subset residues and the process pool.
 
-Everything downstream leans on a few kernels: sums of remainders shifted
-into {1, ..., x} instead of {0, ..., x-1}, and the residues mod m that
-subsets reach. No float enters a comparison and no rational is built here.
+`subset_residues` gives the residues mod m that subsets reach; `parallel_map`
+is the one process pool. No float enters a comparison and no rational is
+built here.
 """
 
 from __future__ import annotations
 
 import os
 from typing import Callable, Iterable, Iterator, NoReturn, Sequence
-
-
-def remainder_sum(entry: int, others: Iterable[int], t: int) -> int:
-    """The criterion's left side: the sum of rem_pos(entry, t*x) over x in others,
-    that is of t*x mod entry shifted into {1, ..., entry} (a multiple counts entry)."""
-    total = 0
-    for x in others:
-        r = t * x % entry
-        total += r if r else entry
-    return total
 
 
 def subset_residues(values: Sequence[int], mod: int) -> Iterator[dict[int, int]]:

@@ -8,20 +8,20 @@ every entry a(i) >= 2 and every multiplier t in [1, a(i) - 1],
 
 where rem_pos(x, y) is y mod x shifted into {1, ..., x}.
 
-Past `robust_stability_point(a)` the hollowness of (a; N) no longer
-depends on N; the classical threshold C falls short of that for ten triples
-with entries in [2, 13] (see that function). `agreement_sweep` checks this
-against exact lattice-point decisions on a window of N past that point: one
-cell table per tuple in `simplex`.
+Past `robust_stability_point(a)` = (sum(a) - 1)*max(a) the hollowness of
+(a; N) no longer depends on N, a bound proved from `simplex`'s cell table;
+the classical threshold C falls short of that for ten triples with entries
+in [2, 13] (see that function). `agreement_sweep` checks this against
+exact lattice-point decisions on a window of N past that point: one cell
+table per tuple in `simplex`.
 """
 
 from __future__ import annotations
 
-import random
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import _positive_integers
-from .arith import parallel_map, remainder_sum, subset_residues
+from .arith import parallel_map, subset_residues
 
 
 def entries(a: Sequence[int]) -> tuple[int, ...]:
@@ -55,8 +55,9 @@ class CriterionWitness(NamedTuple):
 def criterion_failures(a: Sequence[int], half: bool) -> Iterator[tuple[int, ...]]:
     """(index, entry, t, lhs, rhs) of every failing pair of a as given, by index then t.
 
-    A pair fails when lhs, the remainder sum, exceeds rhs = t + (n-3)*a(i)
-    with n = len(a) + 1. t runs over [1, a(i)//2] when half is set, else
+    A pair fails when lhs, the sum of rem_pos(a(i), t*a(j)) over j != i (a
+    multiple of a(i) counts a(i)), exceeds rhs = t + (n-3)*a(i) with
+    n = len(a) + 1. t runs over [1, a(i)//2] when half is set, else
     over [1, a(i) - 1]. The half range fails for the same entries: at
     t = a(i) both sides agree exactly, and for larger t the left side is
     periodic while the right side grows. A failure at some t in
@@ -82,7 +83,10 @@ def criterion_failures(a: Sequence[int], half: bool) -> Iterator[tuple[int, ...]
             continue
         bound = shift * ai
         for t in range(1, (ai // 2 if half else ai - 1) + 1):
-            lhs = remainder_sum(ai, others, t)
+            lhs = 0
+            for x in others:
+                r = t * x % ai
+                lhs += r if r else ai
             if lhs > t + bound:
                 yield i, ai, t, lhs, t + bound
 
@@ -110,7 +114,9 @@ class StabilityThresholds(NamedTuple):
 
     m_bound = max (a(i) - 1)*a(j) over i != j makes the criterion
     sufficient, M_bound = (sum(a) - 1)*max(a(i) - 1) also necessary, and
-    C = max of the two is the stabilization point.
+    C = max of the two, always M_bound, is the classical constant. It is
+    not a stabilization point: ten triples with entries in [2, 13] stay
+    hollow past it (see `robust_stability_point`).
     """
 
     m_bound: int
@@ -127,30 +133,25 @@ def stability_thresholds(a: Sequence[int]) -> StabilityThresholds:
 
 
 def robust_stability_point(a: Sequence[int]) -> int:
-    """Divisibility-robust stabilization point.
+    """(S - 1)*max(a), S = sum(a), past which (a; N) is hollow for every N or for none.
 
-    The classical constant C = max(m_bound, M_bound) fails on an edge case:
-    when a failing inequality at (i, t) has slack exactly 1 and a(i) divides
-    N*t, the lattice point it predicts degenerates to the boundary, and the
-    simplex of (a; N) can stay hollow slightly past C. Among the triples with
-    entries in [2, 13] this happens for exactly (2, 2, 2), (2, 2, 5),
-    (2, 3, 3), (2, 3, 7), (2, 3, 11), (2, 4, 7), (2, 7, 13), (3, 3, 4),
-    (3, 4, 5) and (4, 5, 7). None of them is asymptotically hollow, every N
-    past C where the k-scan disagrees with the criterion is a multiple of
-    max(a), and the last such N is this point exactly. For example (3, 4, 5)
-    has C = 44 yet is hollow at N = 45, 50, 55 and not hollow at N = 60.
-    Among the 1820 quadruples with entries in [2, 14], 67 disagree past C,
-    16 of them with entries in [2, 8], with the same three facts: none is
-    asymptotically hollow, every disagreement is at a multiple of max(a),
-    and the last one is this point; none disagrees in the 60 N past it.
-    Replacing max(a(i) - 1) by max a(i) in the M-side repairs the argument:
-    the displaced point at k - 1 behaves like a remainder of a(i), never
-    more. The m-side analogue max a(i)*a(j) is also honored. Each term
-    bounds its classical one, (a(i) - 1)*a(j) <= a(i)*a(j), so the point is
-    never below C.
+    The proof reads `simplex._hollow_by_n`'s table. With L = lcm(a), a kept
+    cell (hi, c), hi on the scale L and c the sum of its ceilings minus 1,
+    has D = hi*(S - 1) - c*L > 0. Its largest height k = ceil(hi*N/L) - 1
+    is at least (hi*N - L)/L, so N*c < k*(S - 1), and (a; N) is not hollow,
+    once N*D > L*(S - 1). The breakpoint hi that ends the cell is L or a
+    multiple of L/a(i) for some i; L is one too, so D is a positive multiple
+    of L/a(i), and L*(S - 1)/D <= a(i)*(S - 1) <= (S - 1)*max(a). An empty
+    table means hollow at every N.
+
+    The classical C = M_bound = (S - 1)*(max(a) - 1) falls short when a
+    failing pair is razor-thin and max(a) divides N: (3, 4, 5) has C = 44
+    yet is hollow at N = 45, 50, 55, and this point is 55. The tests pin
+    the ten triples with entries in [2, 13] and the 67 quadruples in
+    [2, 14] that stay hollow past C.
     """
-    a = ascending(a)
-    return max((sum(a) - 1) * a[-1], a[-1] * a[-2])
+    a = entries(a)
+    return (sum(a) - 1) * max(a)
 
 
 def sample_tuples(
@@ -170,6 +171,8 @@ def sample_tuples(
         raise ValueError(f"tuple lengths must be at least 2, got {min(lengths)}")
     if not 1 <= low <= high:
         raise ValueError(f"need 1 <= low <= high, got low={low}, high={high}")
+    import random  # only sampling needs it; asym and classify never load it
+
     rng = random.Random(seed)
     out = []
     for _ in range(count):

@@ -266,7 +266,7 @@ COMMANDS = {
     "empty": (_cmd_empty, "decide emptiness of a simplex", _SPEC),
     "points": (_cmd_points, "list all non-extreme lattice points", _SPEC),
     "facets": (_cmd_facets, "facet volumes plus the minors-gcd cross-check", _SPEC),
-    "width": (_cmd_width, "width-one witness and the reduced-row upper bound", _SPEC),
+    "width": (_cmd_width, "width-one witness, least reduced-row cost over the units mod d", _SPEC),
     "asym": (_cmd_asym, "decide asymptotic hollowness of a tuple, e.g. 6,10,15", _TUPLE),
     "thresholds": (_cmd_thresholds, "stabilization thresholds of a tuple", _TUPLE),
     "proscribe": (

@@ -386,11 +386,16 @@ def width_one_functional(spec: SimplexSpec, subset: tuple[int, ...]) -> tuple[in
 
 
 def width_upper_bound(spec: SimplexSpec) -> int:
-    """Upper bound on the lattice width from unit-multiple reduced rows.
+    """The least reduced-row cost over the units mod d; it can fall below the lattice width.
+
+    Despite its name this is not an upper bound on the width: only a unit
+    u = 1/b(j), b(j) the coefficient of a vertex j, turns u*a into a spec of
+    the same simplex, and over every unit an entry prime to d costs 1. So
+    3,5,7:30 has no width-one subset, hence width at least 2, yet costs 1.
 
     For every unit u mod d, reduce u*a(i) and the augmented 1 - u*sum(a) mod d
     into (-d/2, d/2]; a value v costs v if v > 0 and 1 - v if v < 0, and the
-    bound is the least cost. A zero entry, i.e. a(i) = 0 mod d, means an edge
+    value is the least cost. A zero entry, i.e. a(i) = 0 mod d, means an edge
     carries a lattice point and raises EdgePointError; a zero augmented value
     is skipped. Over the units, u*x mod d runs through exactly the residues
     whose gcd with d is gcd(x, d), so entry i costs g = gcd(a(i), d) <= d/2

@@ -28,8 +28,8 @@ ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT_S = 120
 
 MUTANTS = (
-    ("arith.py", "total += r if r else entry", "total += r",
-     "remainder_sum counts a multiple of the entry as 0"),
+    ("asymptotic.py", "lhs += r if r else ai", "lhs += r",
+     "the criterion's remainder sum counts a multiple of the entry as 0"),
     ("proscriptive.py", "min(-(-num // den), hi) + 1)", "min(-(-num // den), hi))",
      "the extension search's window excludes its upper end"),
     ("proscriptive.py", "y * e <= s * (y * m % ai)", "y * e < s * (y * m % ai)",
@@ -75,6 +75,8 @@ MUTANTS = (
      "empty_sufficient's gcd table drops the entry that extends a subset"),
     ("asymptotic.py", "(a[-1] - 1) * a[-2]", "(a[-2] - 1) * a[-1]",
      "m_bound takes (a(i) - 1)*a(j) at the wrong pair of largest entries"),
+    ("asymptotic.py", "(sum(a) - 1) * max(a)", "(sum(a) - 1) * (max(a) - 1)",
+     "the robust point falls back to the classical C"),
     ("classify.py", "prefix[j - 1] == a[j] + 1", "prefix[j] == a[j] + 1",
      "the prefix sums are off by one entry"),
 )

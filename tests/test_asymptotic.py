@@ -3,9 +3,8 @@ from itertools import combinations, combinations_with_replacement, permutations
 
 import pytest
 
-from oracle import criterion_sides, failures, rem, thresholds
+from oracle import criterion_sides, failures, rem, robust_point, thresholds
 
-from hollowsimplex.arith import remainder_sum
 from hollowsimplex.asymptotic import (
     CriterionWitness,
     _residue_one,
@@ -25,9 +24,9 @@ from hollowsimplex.simplex import SimplexSpec, _hollow_by_n, is_hollow
 
 def test_criterion_inequality_examples():
     # (6,10,15) at the 10-entry, t=3: remainders 8 and 5 against 3 + 10
-    assert (remainder_sum(10, (6, 15), 3), 3 + 10) == (13, 13)
+    assert criterion_sides((6, 10, 15), 1, 3) == (13, 13)
     # (2,3,7) at the 7-entry, t=2: remainders 4 and 6 against 2 + 7
-    assert (remainder_sum(7, (2, 3), 2), 2 + 7) == (10, 9)
+    assert criterion_sides((2, 3, 7), 2, 2) == (10, 9)
 
 
 def test_t_range_cap_is_tight():
@@ -106,6 +105,7 @@ def test_thresholds_match_pairwise_oracle():
         a += [max(a)] * rng.randint(0, 2) + [1] * rng.randint(0, 2)
         rng.shuffle(a)
         assert tuple(stability_thresholds(a)) == thresholds(a), a
+        assert robust_stability_point(a) == robust_point(a), a
 
 
 def test_robust_point_dominates_classical():

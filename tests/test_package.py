@@ -63,6 +63,7 @@ def test_subcommand_loads_only_what_it_runs(argv, used, unused):
     assert not {f"hollowsimplex.{m}" for m in unused} & loaded
     assert "pickle" not in loaded  # loaded only where workers are forked
     assert "hollowsimplex.render" not in loaded  # json output is written by cli
+    assert ("random" in loaded) == (argv[0] == "agree")  # only sampling loads it
 
 
 @pytest.mark.parametrize("argv, builds_rationals", [

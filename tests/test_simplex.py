@@ -342,6 +342,15 @@ def test_width_upper_bound_zero_entry_error():
         width_upper_bound(SimplexSpec((1, 1), 1))
 
 
+def test_width_upper_bound_can_fall_below_the_width():
+    # a pinned caveat: no width-one subset, so the width is at least 2, yet
+    # the least reduced-row cost over the units mod d is 1
+    for a, d in (((3, 5, 7), 30), ((2, 2, 2), 7), ((6, 14, 17), 101), ((2, 3), 1000000007)):
+        spec = SimplexSpec(a, d)
+        assert width_one(spec) is None, spec
+        assert width_upper_bound(spec) == 1, spec
+
+
 def _unit_scan_width_bound(spec):
     """Reference: the bound collected over every unit u mod d, O(phi(d) * n)."""
     d = spec.d
