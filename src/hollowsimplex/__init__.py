@@ -38,7 +38,6 @@ _EXPORTS = {
         "HalfOpenInterval",
         "PrefixReport",
         "ProscriptiveDatum",
-        "RaySummary",
         "candidate_extensions",
         "nontrivial_data",
         "proscriptive_datum",

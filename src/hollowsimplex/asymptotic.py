@@ -114,9 +114,10 @@ class StabilityThresholds(NamedTuple):
 
     m_bound = max (a(i) - 1)*a(j) over i != j makes the criterion
     sufficient, M_bound = (sum(a) - 1)*max(a(i) - 1) also necessary, and
-    C = max of the two, always M_bound, is the classical constant. It is
-    not a stabilization point: ten triples with entries in [2, 13] stay
-    hollow past it (see `robust_stability_point`).
+    C = max of the two is the classical constant. It is always M_bound, as
+    both maxima sit at the two largest entries and S - 1 >= a[-2] for S =
+    sum(a). It is not a stabilization point: ten triples with entries in
+    [2, 13] stay hollow past it (see `robust_stability_point`).
     """
 
     m_bound: int
@@ -124,7 +125,7 @@ class StabilityThresholds(NamedTuple):
 
     @property
     def C(self) -> int:
-        return max(self.m_bound, self.M_bound)
+        return self.M_bound
 
 
 def stability_thresholds(a: Sequence[int]) -> StabilityThresholds:

@@ -135,9 +135,6 @@ def family_identities(a: Sequence[int]) -> dict[str, bool]:
     }
 
 
-def verify_family(n: int) -> dict[str, bool]:
-    """Criterion plus congruence identities for the family at ambient n."""
-    a = doubling_family(n)
-    out = dict(family_identities(a))
-    out["asymptotically_hollow"] = is_asymptotically_hollow(a)
-    return out
+def verify_family(a: Sequence[int]) -> dict[str, bool]:
+    """Congruence identities plus the criterion for a family tuple a."""
+    return {**family_identities(a), "asymptotically_hollow": is_asymptotically_hollow(a)}

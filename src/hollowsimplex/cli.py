@@ -176,15 +176,14 @@ def _cmd_extend(args: SimpleNamespace) -> tuple[dict, Optional[bool]]:
     from . import proscriptive
 
     report = proscriptive.candidate_extensions(args.tuple)
-    union, candidates = report.union, report.candidates
     payload = {
         "prefix": list(report.b),
         "s": report.s,
         "unbounded": report.unbounded,
         "data": [_datum_doc(d) for d in report.data],
         "horizon": report.horizon,
-        "ray_start": None if union is None else str(union.ray_start),
-        "candidates": None if candidates is None else list(candidates),
+        "ray_start": None if report.ray_start is None else str(report.ray_start),
+        "candidates": None if report.candidates is None else list(report.candidates),
     }
     return payload, None
 
@@ -209,8 +208,9 @@ def _cmd_classify(args: SimpleNamespace) -> tuple[dict, Optional[bool]]:
 def _cmd_family(args: SimpleNamespace) -> tuple[dict, Optional[bool]]:
     from . import classify
 
-    checks = classify.verify_family(args.n)
-    return {"tuple": list(classify.doubling_family(args.n)), **checks}, all(checks.values())
+    a = classify.doubling_family(args.n)
+    checks = classify.verify_family(a)
+    return {"tuple": list(a), **checks}, all(checks.values())
 
 
 def _cmd_sset(args: SimpleNamespace) -> tuple[dict, Optional[bool]]:

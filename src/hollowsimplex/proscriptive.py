@@ -40,18 +40,6 @@ class HalfOpenInterval(NamedTuple):
         return f"[{self.lo}, {self.hi})"
 
 
-class RaySummary(NamedTuple):
-    """Integers missed by a union of dilated intervals, plus its infinite ray.
-
-    Every integer >= ray_start is covered by the union. `gaps` lists the
-    integers in [1, ceil(ray_start)] covered by no dilate; all of them lie
-    below ray_start, so they are every gap.
-    """
-
-    ray_start: Fraction
-    gaps: tuple[int, ...]
-
-
 class ProscriptiveDatum(NamedTuple):
     """Interval data for one (entry index, multiplier) pair of a prefix.
 
@@ -146,11 +134,12 @@ class PrefixReport(NamedTuple):
 
     When every datum is trivial the prefix itself is asymptotically hollow
     and arbitrarily large extensions work: unbounded is True and horizon,
-    union and candidates are absent. Otherwise horizon is ceil(union.ray_start),
-    the last integer searched, and candidates lists every y >= 2 that
-    escapes all dilated intervals and passes the full criterion; trivial
-    y = 1 extensions are excluded since the search targets nontrivial
-    tuples.
+    ray_start, gaps and candidates are None. Otherwise every integer from
+    ray_start on lies in a dilate, horizon = ceil(ray_start) is the last
+    integer searched, gaps are the integers in [1, horizon] that no dilate
+    covers, and candidates lists every gap y >= 2 that passes the full
+    criterion; trivial y = 1 extensions are excluded since the search
+    targets nontrivial tuples.
     """
 
     b: tuple[int, ...]
@@ -158,16 +147,17 @@ class PrefixReport(NamedTuple):
     data: tuple[ProscriptiveDatum, ...]
     unbounded: bool
     horizon: Optional[int]
-    union: Optional[RaySummary]
+    ray_start: Optional[Fraction]
+    gaps: Optional[tuple[int, ...]]
     candidates: Optional[tuple[int, ...]]
 
 
 def candidate_extensions(b: Sequence[int]) -> PrefixReport:
     """Every nontrivial y such that (b, y) is asymptotically hollow.
 
-    The search horizon is the union's: every integer at or beyond the least
-    ray start over the nontrivial data lies in a dilate of that datum's
-    interval and is proscribed, so no candidate is missed.
+    The search horizon is the least ray start over the nontrivial data:
+    every integer at or beyond it lies in a dilate of that datum's interval
+    and is proscribed, so no candidate is missed.
     """
     from fractions import Fraction
 
@@ -176,5 +166,5 @@ def candidate_extensions(b: Sequence[int]) -> PrefixReport:
     return PrefixReport(
         b=b, s=sum(b) - 1, data=tuple(_datum(b, i, m) for i, m, _ in rows),
         unbounded=ray is None, horizon=None if ray is None else -(-ray[0] // ray[1]),
-        union=None if ray is None else RaySummary(Fraction(*ray), gaps), candidates=candidates,
+        ray_start=None if ray is None else Fraction(*ray), gaps=gaps, candidates=candidates,
     )

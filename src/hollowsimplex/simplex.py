@@ -302,8 +302,6 @@ def _bareiss_det(rows: list[list[int]]) -> int:
     """Exact determinant of a square integer matrix (fraction-free Bareiss)."""
     m = [row[:] for row in rows]
     size = len(m)
-    if size == 0:
-        return 1
     sign = 1
     prev = 1
     for i in range(size - 1):

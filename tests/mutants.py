@@ -79,6 +79,10 @@ MUTANTS = (
      "the robust point falls back to the classical C"),
     ("classify.py", "prefix[j - 1] == a[j] + 1", "prefix[j] == a[j] + 1",
      "the prefix sums are off by one entry"),
+    ("asymptotic.py", "        if _residue_one(others, ai):", "        if 1 in others:",
+     "the criterion certifies an entry only by a single other entry"),
+    ("asymptotic.py", "return self.M_bound", "return self.m_bound",
+     "C reads m_bound"),
 )
 
 

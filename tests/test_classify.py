@@ -63,9 +63,11 @@ def test_family_identities_match_oracle():
 
 
 def test_verify_family_payload():
-    checks = verify_family(5)
+    checks = verify_family(doubling_family(5))
     assert checks["asymptotically_hollow"]
     assert checks["first_pair_sum"] and checks["prefix_sums"]
+    with pytest.raises(ValueError, match="^identities need at least three entries$"):
+        verify_family((3, 5))
 
 
 def test_triple_set_partition():

@@ -502,6 +502,19 @@ def test_module_entry_point_matches_main(argv, code):
     assert err.decode().startswith("error: ") == (code == 2)
 
 
+def test_pair_certificate_skips_a_huge_entry():
+    # 10**12 + 1 is certified only by the pair {2, 10**12}, whose sum is 1 mod it:
+    # no single other entry is 1 mod it, nor is their whole sum (4 mod it); without the
+    # subset certificate its multipliers would take 5 * 10**11 steps to scan
+    with _launch(["asym", "--tuple", "2,3,1000000000000,1000000000001"]) as proc:
+        try:
+            out, _ = proc.communicate(timeout=20)
+        finally:
+            proc.kill()
+    assert proc.returncode == 0
+    assert json.loads(out)["payload"]["asymptotically_hollow"] is True
+
+
 def test_main_leaves_gc_unfrozen():
     # gc.freeze() belongs to the process entry point, never to main()
     before = gc.get_freeze_count()

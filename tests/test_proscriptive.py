@@ -125,7 +125,7 @@ def test_candidate_extensions_29_38_66():
 def test_candidate_extensions_all_trivial():
     report = candidate_extensions((6, 10, 15))
     assert report.unbounded
-    assert report.candidates is None and report.union is None
+    assert report.candidates is None and report.ray_start is None and report.gaps is None
     assert is_asymptotically_hollow((6, 10, 15))
 
 
@@ -137,14 +137,14 @@ def test_candidate_extensions_small_pairs():
 
 def test_candidate_extensions_horizon_is_ray_start():
     report = candidate_extensions((29, 38, 66))
-    assert report.horizon == 194 == math.ceil(report.union.ray_start)
+    assert report.horizon == 194 == math.ceil(report.ray_start)
     assert report.candidates == (2, 3, 11)
 
 
 def test_candidates_lie_in_gaps_and_pass_criterion():
     for b in ((2, 3), (2, 4), (29, 38, 66)):
         report = candidate_extensions(b)
-        assert set(report.candidates) <= set(report.union.gaps)
+        assert set(report.candidates) <= set(report.gaps)
         for y in report.candidates:
             assert asymptotically_hollow(b + (y,))
 
@@ -156,7 +156,7 @@ def test_candidates_match_criterion_filter_below_ray():
         report = candidate_extensions(b)
         expected = tuple(
             y
-            for y in range(2, math.ceil(report.union.ray_start))
+            for y in range(2, math.ceil(report.ray_start))
             if asymptotically_hollow(b + (y,))
         )
         assert report.candidates == expected, b
@@ -181,7 +181,7 @@ def test_classify_search_path_matches_the_report_on_a_grid():
             rows, ray, gaps, candidates = extension_search((a, x))
             assert candidates == report.candidates, (a, x)
             assert [(d.index, d.m) for d in report.data] == [row[:2] for row in rows]
-            assert Fraction(*ray) == report.union.ray_start and gaps == report.union.gaps
+            assert Fraction(*ray) == report.ray_start and gaps == report.gaps
             least = min(ray_start(*d.interval) for d in report.data)
             assert report.horizon == math.ceil(least), (a, x)
             for hi in (x, x + 7, report.horizon - 1, report.horizon + 5):

@@ -327,6 +327,9 @@ def test_width_one_functional_has_width_one():
     phi = width_one_functional(spec, subset)
     values = [sum(p * v for p, v in zip(phi, vert)) for vert in spec.vertices()]
     assert max(values) - min(values) == 1
+    # a(0) = 2 alone is neither 0 nor 1 mod 7
+    with pytest.raises(ValueError, match="^subset does not witness width one$"):
+        width_one_functional(SimplexSpec((2, 3), 7), (0,))
 
 
 def test_width_upper_bound_examples():
