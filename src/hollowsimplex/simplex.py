@@ -16,7 +16,7 @@ once per tuple (`_hollow_by_n`), which the tests check against the scan.
 from __future__ import annotations
 
 import math
-from itertools import combinations, repeat
+from itertools import repeat
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import _positive_integers
@@ -298,47 +298,39 @@ def facet_volumes(spec: SimplexSpec) -> tuple[int, ...]:
     )
 
 
-def _bareiss_det(rows: list[list[int]]) -> int:
-    """Exact determinant of a square integer matrix (fraction-free Bareiss)."""
-    m = [row[:] for row in rows]
-    size = len(m)
-    sign = 1
-    prev = 1
-    for i in range(size - 1):
-        if m[i][i] == 0:
-            for r in range(i + 1, size):
-                if m[r][i] != 0:
-                    m[i], m[r] = m[r], m[i]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for r in range(i + 1, size):
-            for c in range(i + 1, size):
-                m[r][c] = (m[r][c] * m[i][i] - m[r][i] * m[i][c]) // prev
-            m[r][i] = 0
-        prev = m[i][i]
-    return sign * m[-1][-1]
-
-
 def facet_cotorsion(spec: SimplexSpec, facet: int) -> int:
     """Cotorsion of the subgroup generated by one facet's vertex differences.
 
     `facet` indexes the omitted vertex in the order [v, e_1, ..., e_{n-1}, 0];
     the result is the gcd of all maximal minors of the n x (n-1) matrix of
     differences, computed independently of the gcd formula in facet_volumes.
+    An integer row operation is unimodular, so by Cauchy-Binet, applied both
+    ways, it keeps that gcd. Euclid down each column leaves one pivot over
+    zeros; the only nonzero maximal minor is then the triangular block of
+    pivots, and the gcd is |their product|. As d >= 1 the n + 1 vertices are
+    affinely independent, so the n - 1 differences have full rank and every
+    column finds a pivot. Cost O(n^3 log) per facet.
     """
     n = spec.dimension
     if not 0 <= facet <= n:
         raise ValueError(f"facet index must lie in [0, {n}], got {facet}")
-    verts = [v for j, v in enumerate(spec.vertices()) if j != facet]
-    base = verts[0]
-    diffs = [[v[r] - base[r] for v in verts[1:]] for r in range(n)]
-    g = 0
-    for rows in combinations(range(n), n - 1):
-        g = math.gcd(g, _bareiss_det([diffs[r] for r in rows]))
-        if g == 1:
-            break
+    # differences from the facet's last vertex, unit vectors first: their columns
+    # take a pivot at once, so the matrix stays sparse until v's column
+    *others, base = (v for j, v in enumerate(spec.vertices()) if j != facet)
+    live = [[v[r] - base[r] for v in reversed(others)] for r in range(n)]
+    g = 1
+    for c in range(n - 1):
+        while True:  # the least nonzero |entry| of column c shrinks on every pass
+            live.sort(key=lambda row: (row[c] == 0, abs(row[c])))
+            pivot = live[0]
+            if not live[1][c]:
+                break
+            for row in live[1:]:
+                if row[c]:
+                    q = row[c] // pivot[c]
+                    row[c:] = [x - q * y for x, y in zip(row[c:], pivot[c:])]
+        g *= abs(pivot[c])
+        live = live[1:]
     return g
 
 
@@ -349,10 +341,9 @@ def width_one(spec: SimplexSpec) -> Optional[tuple[int, ...]]:
     to 0 or 1 mod d. The first such subset by size, then lexicographically,
     is returned (0-based indices): a walk takes each position j that a[j+1:]
     can finish at the least size, as no shorter finish exists. The empty
-    set is excluded: it would induce the zero functional.
+    set is excluded: it would induce the zero functional. At d = 1 every
+    subset sums to 0, the simplex is unimodular, and the answer is (0,).
     """
-    if spec.d <= 1:
-        raise ValueError("width-one test requires d > 1")
     from .arith import subset_residues
 
     tables = [{}, *subset_residues(spec.a, spec.d)][::-1]  # tables[j]: subsets of a[j:]

@@ -83,6 +83,8 @@ MUTANTS = (
      "the criterion certifies an entry only by a single other entry"),
     ("asymptotic.py", "return self.M_bound", "return self.m_bound",
      "C reads m_bound"),
+    ("simplex.py", "g *= abs(pivot[c])", "g *= pivot[c]",
+     "facet_cotorsion keeps the sign of a negative pivot"),
 )
 
 

@@ -68,7 +68,8 @@ def proscription_soundness_counterexamples(t_max: int = 40):
 
 
 def facet_volume_counterexamples(seed: int = 7, samples: int = 120):
-    """gcd formula versus the minors-gcd oracle on every facet."""
+    """gcd formula versus the minors-gcd oracle on every facet: small specs,
+    then lengths 2 to 6 with entries up to 10^15."""
     rng = random.Random(seed)
     bad = []
     specs = [simplex.SimplexSpec((3, 5, 7), 30), simplex.SimplexSpec((2, 3), 12)]
@@ -76,6 +77,10 @@ def facet_volume_counterexamples(seed: int = 7, samples: int = 120):
         length = rng.choice((2, 3, 4))
         a = tuple(rng.randint(1, 12) for _ in range(length))
         specs.append(simplex.SimplexSpec(a, rng.randint(1, 40)))
+    for _ in range(samples):
+        a = tuple(rng.randint(1, 10**15) for _ in range(rng.randint(2, 6)))
+        d = rng.choice((1, 2, 12, 97, 10**9 + 7, rng.randint(1, 10**15)))
+        specs.append(simplex.SimplexSpec(a, d))
     for spec in specs:
         vols = simplex.facet_volumes(spec)
         oracle = tuple(

@@ -110,6 +110,8 @@ def test_width_command():
     code, doc = _payload(["width", "--alpha", "2,3:1000000007"])
     assert code == 0
     assert doc["upper_bound"] == 1 and doc["width_one_subset"] is None
+    code, doc = _payload(["width", "--alpha", "2,3:1"])
+    assert code == 0 and doc["width_one_subset"] == [0] and doc["functional"] == [1, 0, -2]
 
 
 def test_thresholds_command():
@@ -513,6 +515,20 @@ def test_pair_certificate_skips_a_huge_entry():
             proc.kill()
     assert proc.returncode == 0
     assert json.loads(out)["payload"]["asymptotically_hollow"] is True
+
+
+def test_facets_on_sixty_entries_answers_within_seconds():
+    # one row reduction per facet; a determinant per maximal minor, O(n^5) over all
+    # facets, took about half a minute on this input
+    alpha = ",".join(["2"] * 60) + ":1000"
+    with _launch(["facets", "--alpha", alpha]) as proc:
+        try:
+            out, _ = proc.communicate(timeout=10)
+        finally:
+            proc.kill()
+    assert proc.returncode == 0
+    payload = json.loads(out)["payload"]
+    assert payload["agrees"] is True and payload["volumes"] == [1] + [2] * 60 + [1]
 
 
 def test_main_leaves_gc_unfrozen():

@@ -317,8 +317,12 @@ def test_width_one_examples():
     assert sum(spec.a[i] for i in subset) % 12 == 0
     assert width_one(SimplexSpec((1, 5), 7)) == (0,)
     assert width_one(SimplexSpec((2, 2), 5)) is None
-    with pytest.raises(ValueError):
-        width_one(SimplexSpec((2, 2), 1))
+    # at d = 1 every subset sums to 0 mod d: the simplex is unimodular
+    spec = SimplexSpec((2, 2), 1)
+    assert width_one(spec) == (0,)
+    phi = width_one_functional(spec, (0,))
+    values = [sum(p * v for p, v in zip(phi, vert)) for vert in spec.vertices()]
+    assert max(values) - min(values) == 1
 
 
 def test_width_one_functional_has_width_one():
