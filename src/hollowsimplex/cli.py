@@ -233,9 +233,13 @@ def _cmd_agree(args: SimpleNamespace) -> tuple[dict, Optional[bool]]:
     from . import asymptotic
 
     def sample() -> Iterator[tuple[int, ...]]:  # drawn once the sweep has checked its options
+        try:
+            lengths = tuple(range(args.min_len, args.max_len + 1))
+        except (OverflowError, MemoryError):
+            raise ValueError(f"--max-len {args.max_len} gives too many lengths to list") from None
         yield from asymptotic.sample_tuples(
             args.count,
-            lengths=tuple(range(args.min_len, args.max_len + 1)),
+            lengths=lengths,
             low=args.low,
             high=args.high,
             seed=args.seed,

@@ -73,12 +73,11 @@ def table(doc: Any, prefix: str = "") -> Iterator[str]:
             yield from table(item, f"{prefix}.{key}" if prefix else key)
     elif isinstance(doc, list) and doc and all(isinstance(e, dict) for e in doc):
         headers = list(doc[0].keys())
-        widths = [max(len(h), *(len(json.dumps(r.get(h), default=str)) for r in doc))
-                  for h in headers]
+        widths = [max(len(h), *(len(json.dumps(r.get(h))) for r in doc)) for h in headers]
         yield f"{prefix}:\n"
         yield "  " + "  ".join(h.ljust(w) for h, w in zip(headers, widths)) + "\n"
         for rec in doc:
-            cells = (json.dumps(rec.get(h), default=str).ljust(w) for h, w in zip(headers, widths))
+            cells = (json.dumps(rec.get(h)).ljust(w) for h, w in zip(headers, widths))
             yield "  " + "  ".join(cells) + "\n"
     else:
-        yield f"{prefix}: {json.dumps(doc, default=str)}\n"
+        yield f"{prefix}: {json.dumps(doc)}\n"

@@ -85,6 +85,10 @@ MUTANTS = (
      "C reads m_bound"),
     ("simplex.py", "g *= abs(pivot[c])", "g *= pivot[c]",
      "facet_cotorsion keeps the sign of a negative pivot"),
+    ("residues.py", "zero = x if", "zero = 0 if",
+     "the strict residue set charges a multiple of x as 0"),
+    ("residues.py", "(z * t % x or zero) <= bound", "(z * t % x or zero) < bound",
+     "the residue set's filter drops a z whose remainder meets the bound"),
 )
 
 

@@ -206,9 +206,13 @@ def test_invalid_inputs_exit_two(capsys):
     # asym has one multiplier range and no option to choose another
     assert run_cli(["asym", "--tuple", "6,10,15", "--range", "full"])[0] == 2
     assert run_cli(["agree", "--min-len", "5", "--max-len", "3"])[0] == 2
-    # a length range too long to list is refused, not a negative verdict
-    assert run_cli(["agree", "--count", "1", "--min-len", "2",
-                    "--max-len", "100000000000000000000"])[0] == 2
+    # a length range too long to list is refused by name, not a negative verdict
+    for max_len in ("100000000000000000000", "9000000000000000000"):
+        capsys.readouterr()
+        assert run_cli(["agree", "--count", "1", "--min-len", "2",
+                        "--max-len", max_len]) == (2, ""), max_len
+        assert capsys.readouterr().err == (
+            f"error: --max-len {max_len} gives too many lengths to list\n"), max_len
     # Sweeps that would check nothing, or sample from an empty range, are refused.
     for argv in (["--window", "0"], ["--window", "-3"], ["--count", "0"],
                  ["--count", "-1"], ["--low", "5", "--high", "2"]):

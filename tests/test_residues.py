@@ -17,6 +17,14 @@ def test_bruteforce_examples():
     assert bounded_remainder_set(12, 2) == (1, 5, 11)
 
 
+def test_bruteforce_matches_oracle_in_both_variants():
+    for r in range(2, 7):
+        for x in range(2 * r, 121):
+            for variant in (STRICT, EXEMPT):
+                members = list(bounded_remainder_set(x, r, variant))
+                assert members == oracle.residue_set(x, r, variant == EXEMPT), (x, r, variant)
+
+
 def test_closed_form_examples():
     assert closed_form_remainder_set(23, 3) == (1, 20, 21)
     assert closed_form_remainder_set(10, 2) == (1, 9)
